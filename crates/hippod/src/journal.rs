@@ -1,9 +1,10 @@
 //! The daemon's write-ahead job journal — and, since PR 10, the campaign
 //! scheduler's lease ledger and the primary-election epoch record.
 //!
-//! Same discipline (and same on-disk framing) as the `pmtx` repair
-//! journal: line-oriented, every line checksummed, appends synced before
-//! the daemon acknowledges. The event kinds:
+//! One record schema (`hippo.jobs.v1`) over [`pmtx::log`], the same
+//! checksummed log as the repair journal: the log owns the on-disk format,
+//! the recovery rule, the flock and the fence; this module owns the events.
+//! Every append is synced before the daemon acknowledges. The event kinds:
 //!
 //! - `Submitted { id, spec }` — written *before* the client sees
 //!   `Accepted`. An acknowledged job is therefore always durable.
@@ -32,45 +33,50 @@
 //! interrupted job commits the same result the killed run would have.
 //!
 //! **Epoch fencing.** A deposed primary must never corrupt its
-//! successor's journal. Every append first verifies that the journal file
-//! is exactly where this handle last left it — same inode, same length.
-//! If another writer advanced it (a rival primary's `Epoch` record, a
-//! successor's compaction), the append is refused with a fenced error
-//! ([`is_fenced`]) instead of performed, and the caller demotes. Combined
-//! with the flock this closes the standby takeover race window: even a
-//! writer that somehow bypasses the lock cannot make a deposed primary's
-//! stale write land silently.
+//! successor's journal. The log refuses any append through a handle whose
+//! file another writer advanced or replaced (a rival primary's `Epoch`
+//! record, a successor's compaction); the refusal is a fenced error
+//! ([`is_fenced`]) naming the rival's epoch, and the caller demotes.
+//! Combined with the flock this closes the standby takeover race window:
+//! even a writer that somehow bypasses the lock cannot make a deposed
+//! primary's stale write land silently.
 //!
 //! A torn final line (the daemon was SIGKILLed mid-append) is dropped and
-//! truncated away; corruption anywhere *else* is refused loudly.
-//! Exclusive advisory locking ([`pmtx::FileLock`]) makes a second daemon
-//! on the same journal refuse with the holder's pid instead of
-//! interleaving appends.
+//! truncated away; any other damage, and any checksummed line that does
+//! not parse as an event, is refused. A second daemon on the same journal
+//! is refused with the holder's pid instead of interleaving appends.
 
 use crate::jobs::{JobSpec, JobView, ShardDone};
-use pmtx::framing::{decode_line, encode_line, split_lines};
-use pmtx::FileLock;
+use pmtx::log::{Header, Log};
+use pmtx::JournalError;
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The journal's schema tag, checked on resume.
 pub const JOBS_JOURNAL_SCHEMA: &str = "hippo.jobs.v1";
 
-/// The prefix of every epoch-fencing refusal; [`is_fenced`] keys on it.
-const FENCED: &str = "epoch fenced";
-
 /// Whether a journal append error is an epoch-fencing refusal — the
 /// signal that this primary was deposed and must demote instead of retry.
 pub fn is_fenced(err: &str) -> bool {
-    err.starts_with(FENCED)
+    err.starts_with("epoch fenced")
 }
 
 /// The first journal line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobJournalHeader {
     pub schema: String,
+}
+
+impl Header for JobJournalHeader {
+    fn schema(&self) -> &str {
+        &self.schema
+    }
+}
+
+fn header() -> JobJournalHeader {
+    JobJournalHeader {
+        schema: JOBS_JOURNAL_SCHEMA.to_string(),
+    }
 }
 
 /// One journaled lifecycle event.
@@ -138,14 +144,9 @@ pub enum JobEvent {
 /// An open, exclusively locked job journal.
 #[derive(Debug)]
 pub struct JobJournal {
-    file: File,
-    path: PathBuf,
-    /// Where this handle believes the journal ends; a mismatch on append
-    /// means another writer advanced it — the epoch fence.
-    expected_len: u64,
+    log: Log,
     /// The highest election epoch seen or written through this handle.
     epoch: u64,
-    _lock: FileLock,
 }
 
 impl JobJournal {
@@ -156,172 +157,15 @@ impl JobJournal {
     /// # Errors
     ///
     /// Fails when another process holds the journal (the message names the
-    /// holder's pid), on interior corruption, on a schema mismatch, and on
-    /// I/O errors.
+    /// holder's pid), on corruption, on a schema mismatch, and on I/O
+    /// errors.
     pub fn open(path: impl AsRef<Path>) -> Result<(JobJournal, Vec<JobEvent>), String> {
-        let path = path.as_ref().to_path_buf();
-        let lock = FileLock::acquire(&path).map_err(|e| e.to_string())?;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-
-        let mut journal = JobJournal {
-            file,
-            path,
-            expected_len: 0,
-            epoch: 0,
-            _lock: lock,
+        let opened = Log::open(path, &header()).map_err(|e| e.to_string())?;
+        let journal = JobJournal {
+            log: opened.log,
+            epoch: max_epoch(&opened.records),
         };
-        if text.is_empty() {
-            journal.append_line(&JobJournalHeader {
-                schema: JOBS_JOURNAL_SCHEMA.to_string(),
-            })?;
-            return Ok((journal, vec![]));
-        }
-
-        let lines = split_lines(&text);
-        let mut events = vec![];
-        let mut truncate_at: Option<usize> = None;
-        for (i, line) in lines.iter().enumerate() {
-            let last = i + 1 == lines.len();
-            let payload = match decode_line(line.body) {
-                Ok(p) if line.terminated => p,
-                // A torn tail — unterminated or checksum-failed final
-                // line — is the one legal form of damage: the process died
-                // mid-append, the event was never acknowledged. Drop it.
-                _ if last => {
-                    truncate_at = Some(line.offset);
-                    break;
-                }
-                Ok(_) | Err(_) => {
-                    return Err(format!(
-                        "{}: corrupted journal line {} (not at the tail); refusing to resume \
-                         from a damaged journal",
-                        journal.path.display(),
-                        i + 1
-                    ));
-                }
-            };
-            if i == 0 {
-                let header: JobJournalHeader = serde_json::from_str(payload)
-                    .map_err(|e| format!("{}: bad journal header: {e}", journal.path.display()))?;
-                if header.schema != JOBS_JOURNAL_SCHEMA {
-                    return Err(format!(
-                        "{}: journal schema is `{}`, this daemon speaks `{JOBS_JOURNAL_SCHEMA}`",
-                        journal.path.display(),
-                        header.schema
-                    ));
-                }
-                continue;
-            }
-            match serde_json::from_str::<JobEvent>(payload) {
-                Ok(ev) => events.push(ev),
-                Err(e) if last => {
-                    // Structurally torn JSON with an accidentally valid
-                    // checksum cannot happen (the checksum covers the whole
-                    // payload), but a half-written *terminated* line at the
-                    // tail is still unacknowledged work: drop it too.
-                    let _ = e;
-                    truncate_at = Some(line.offset);
-                }
-                Err(e) => {
-                    return Err(format!(
-                        "{}: journal line {} does not parse: {e}",
-                        journal.path.display(),
-                        i + 1
-                    ));
-                }
-            }
-        }
-        if let Some(offset) = truncate_at {
-            journal
-                .file
-                .set_len(offset as u64)
-                .map_err(|e| format!("{}: truncate: {e}", journal.path.display()))?;
-            journal
-                .file
-                .seek(std::io::SeekFrom::End(0))
-                .map_err(|e| format!("{}: {e}", journal.path.display()))?;
-        }
-        if events.is_empty() && truncate_at == Some(0) {
-            // Even the header was torn; start fresh.
-            journal.append_line(&JobJournalHeader {
-                schema: JOBS_JOURNAL_SCHEMA.to_string(),
-            })?;
-        }
-        journal.epoch = max_epoch(&events);
-        journal.expected_len = journal
-            .file
-            .metadata()
-            .map_err(|e| format!("{}: {e}", journal.path.display()))?
-            .len();
-        Ok((journal, events))
-    }
-
-    fn append_line<T: Serialize>(&mut self, value: &T) -> Result<(), String> {
-        let payload =
-            serde_json::to_string(value).map_err(|e| format!("encode journal record: {e}"))?;
-        let line = encode_line(&payload);
-        self.file
-            .write_all(line.as_bytes())
-            .map_err(|e| format!("{}: append: {e}", self.path.display()))?;
-        self.file
-            .sync_data()
-            .map_err(|e| format!("{}: sync: {e}", self.path.display()))?;
-        self.expected_len = self
-            .file
-            .metadata()
-            .map_err(|e| format!("{}: {e}", self.path.display()))?
-            .len();
-        Ok(())
-    }
-
-    /// Verifies that the journal file on disk is exactly where this handle
-    /// last left it (same inode, same length). A mismatch means another
-    /// writer advanced or replaced it — this primary was deposed.
-    fn check_fence(&self) -> Result<(), String> {
-        let on_disk = match std::fs::metadata(&self.path) {
-            Ok(m) => m,
-            Err(e) => {
-                return Err(format!(
-                    "{FENCED}: journal {} vanished from under this primary ({e}); demoting",
-                    self.path.display()
-                ));
-            }
-        };
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::MetadataExt;
-            let own = self
-                .file
-                .metadata()
-                .map_err(|e| format!("{}: {e}", self.path.display()))?;
-            if own.ino() != on_disk.ino() || own.dev() != on_disk.dev() {
-                return Err(format!(
-                    "{FENCED}: journal {} was replaced out from under this primary{}; \
-                     refusing stale write and demoting",
-                    self.path.display(),
-                    rival_epoch_note(&self.path, self.epoch)
-                ));
-            }
-        }
-        if on_disk.len() != self.expected_len {
-            return Err(format!(
-                "{FENCED}: journal {} advanced behind this primary ({} bytes on disk, {} \
-                 expected){}; refusing stale write and demoting",
-                self.path.display(),
-                on_disk.len(),
-                self.expected_len,
-                rival_epoch_note(&self.path, self.epoch)
-            ));
-        }
-        Ok(())
+        Ok((journal, opened.records))
     }
 
     /// Appends one event, durable (synced) before returning.
@@ -333,8 +177,7 @@ impl JobJournal {
     /// the caller must demote, not retry. Also propagates serialization
     /// and I/O failures.
     pub fn append(&mut self, event: &JobEvent) -> Result<(), String> {
-        self.check_fence()?;
-        self.append_line(event)?;
+        self.log.append(event).map_err(|e| self.refusal(e))?;
         if let JobEvent::Epoch { epoch, .. } = event {
             self.epoch = (*epoch).max(self.epoch);
         }
@@ -366,63 +209,43 @@ impl JobJournal {
     }
 
     /// Rewrites the journal with superseded records removed (see
-    /// [`compact_events`]), preserving resume semantics exactly. `events`
-    /// must be this journal's full replayed event list.
-    ///
-    /// The rewrite goes to a `.compact` sibling which is synced and then
-    /// renamed over the journal — crash-atomic, and safe under the flock
-    /// because the lock lives on a sidecar file whose inode is untouched.
-    /// Returns the number of records dropped.
+    /// [`compact_events`]) behind a `Compacted` checkpoint, preserving
+    /// resume semantics exactly; crash-atomic (see
+    /// [`pmtx::log::Log::rewrite`]). `events` must be this journal's full
+    /// replayed event list. Returns the number of records dropped.
     ///
     /// # Errors
     ///
     /// Refuses with a fenced error when a rival writer advanced the
-    /// journal; propagates I/O failures (the original journal is intact
-    /// unless the rename itself succeeded).
+    /// journal; propagates I/O failures.
     pub fn compact(&mut self, events: &[JobEvent]) -> Result<u64, String> {
-        self.check_fence()?;
         let (kept, dropped) = compact_events(events);
-        let mut text = String::new();
-        let header = serde_json::to_string(&JobJournalHeader {
-            schema: JOBS_JOURNAL_SCHEMA.to_string(),
-        })
-        .map_err(|e| format!("encode journal header: {e}"))?;
-        text.push_str(&encode_line(&header));
-        let checkpoint = serde_json::to_string(&JobEvent::Compacted { dropped })
-            .map_err(|e| format!("encode journal record: {e}"))?;
-        text.push_str(&encode_line(&checkpoint));
-        for event in &kept {
-            let payload =
-                serde_json::to_string(event).map_err(|e| format!("encode journal record: {e}"))?;
-            text.push_str(&encode_line(&payload));
-        }
-        let tmp = PathBuf::from(format!("{}.compact", self.path.display()));
-        {
-            let mut f =
-                File::create(&tmp).map_err(|e| format!("{}: create: {e}", tmp.display()))?;
-            f.write_all(text.as_bytes())
-                .map_err(|e| format!("{}: write: {e}", tmp.display()))?;
-            f.sync_all()
-                .map_err(|e| format!("{}: sync: {e}", tmp.display()))?;
-        }
-        std::fs::rename(&tmp, &self.path)
-            .map_err(|e| format!("rename {} over {}: {e}", tmp.display(), self.path.display()))?;
-        self.file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| format!("{}: reopen after compaction: {e}", self.path.display()))?;
-        self.expected_len = self
-            .file
-            .metadata()
-            .map_err(|e| format!("{}: {e}", self.path.display()))?
-            .len();
+        let records: Vec<JobEvent> = std::iter::once(JobEvent::Compacted { dropped })
+            .chain(kept)
+            .collect();
+        self.log.rewrite(&records).map_err(|e| self.refusal(e))?;
         Ok(dropped)
     }
 
     /// The journal's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
+    }
+
+    /// Renders a log error; a fenced one also names the rival's epoch, when
+    /// the journal is still readable enough to find it.
+    fn refusal(&self, err: JournalError) -> String {
+        let mut msg = err.to_string();
+        if let JournalError::Fenced { .. } = err {
+            let newest = read_events(self.path()).map_or(0, |events| max_epoch(&events));
+            if newest > self.epoch {
+                msg.push_str(&format!(
+                    " — a rival primary holds epoch {newest} (ours: {}); demoting",
+                    self.epoch
+                ));
+            }
+        }
+        msg
     }
 }
 
@@ -435,22 +258,6 @@ fn max_epoch(events: &[JobEvent]) -> u64 {
         })
         .max()
         .unwrap_or(0)
-}
-
-/// A human-readable note naming the rival epoch that fenced us, when the
-/// tail of the journal is still readable enough to find one.
-fn rival_epoch_note(path: &Path, own: u64) -> String {
-    match read_events(path) {
-        Ok(events) => {
-            let newest = max_epoch(&events);
-            if newest > own {
-                format!(" — a rival primary holds epoch {newest} (ours: {own})")
-            } else {
-                String::new()
-            }
-        }
-        Err(_) => String::new(),
-    }
 }
 
 /// Compacts a replayed event list, dropping every record that no longer
@@ -514,59 +321,13 @@ pub fn compact_events(events: &[JobEvent]) -> (Vec<JobEvent>, u64) {
 
 /// Reads a journal's events without taking the lock — the audit path used
 /// by tests, the chaos gate, and post-mortem tooling while (or after) a
-/// daemon holds the journal. Tolerates a torn tail (skipped, like
-/// [`JobJournal::open`], but without truncating); refuses interior
-/// corruption and schema mismatches.
+/// daemon holds the journal (see [`pmtx::log::read`]).
 ///
 /// # Errors
 ///
-/// Fails on I/O errors, a bad or missing header, and interior corruption.
+/// Fails on I/O errors, a schema mismatch, and corruption.
 pub fn read_events(path: impl AsRef<Path>) -> Result<Vec<JobEvent>, String> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    if text.is_empty() {
-        return Err(format!("{}: empty journal (no header)", path.display()));
-    }
-    let lines = split_lines(&text);
-    let mut events = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let last = i + 1 == lines.len();
-        let payload = match decode_line(line.body) {
-            Ok(p) if line.terminated => p,
-            _ if last => break,
-            Ok(_) | Err(_) => {
-                return Err(format!(
-                    "{}: corrupted journal line {} (not at the tail)",
-                    path.display(),
-                    i + 1
-                ));
-            }
-        };
-        if i == 0 {
-            let header: JobJournalHeader = serde_json::from_str(payload)
-                .map_err(|e| format!("{}: bad journal header: {e}", path.display()))?;
-            if header.schema != JOBS_JOURNAL_SCHEMA {
-                return Err(format!(
-                    "{}: journal schema is `{}`, this reader speaks `{JOBS_JOURNAL_SCHEMA}`",
-                    path.display(),
-                    header.schema
-                ));
-            }
-            continue;
-        }
-        match serde_json::from_str::<JobEvent>(payload) {
-            Ok(ev) => events.push(ev),
-            Err(_) if last => break,
-            Err(e) => {
-                return Err(format!(
-                    "{}: journal line {} does not parse: {e}",
-                    path.display(),
-                    i + 1
-                ));
-            }
-        }
-    }
-    Ok(events)
+    pmtx::log::read(path, &header()).map_err(|e| e.to_string())
 }
 
 /// Chaos/test helper: appends an `Epoch` record to a journal *without*
@@ -575,27 +336,18 @@ pub fn read_events(path: impl AsRef<Path>) -> Result<Vec<JobEvent>, String> {
 /// [`JobJournal::append`] is then refused with a fenced error, which is
 /// exactly the property the double-primary chaos archetype exercises.
 pub fn append_rival_epoch(path: impl AsRef<Path>, epoch: u64) -> Result<(), String> {
-    let path = path.as_ref();
-    let payload = serde_json::to_string(&JobEvent::Epoch {
+    let rival = JobEvent::Epoch {
         epoch,
         pid: std::process::id(),
-    })
-    .map_err(|e| format!("encode journal record: {e}"))?;
-    let mut f = OpenOptions::new()
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    f.write_all(encode_line(&payload).as_bytes())
-        .map_err(|e| format!("{}: append: {e}", path.display()))?;
-    f.sync_data()
-        .map_err(|e| format!("{}: sync: {e}", path.display()))?;
-    Ok(())
+    };
+    pmtx::log::append_unlocked(path, &rival).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::jobs::{JobKind, JobState};
+    use std::path::PathBuf;
 
     fn spec() -> JobSpec {
         JobSpec::new(
@@ -655,9 +407,11 @@ mod tests {
             j.append(&submitted("job-1")).unwrap();
         }
         // Simulate a SIGKILL mid-append: half a line, no newline.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"Finished\":{\"view\":{\"id\":\"job")
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
             .unwrap();
+        std::io::Write::write_all(&mut f, b"{\"Finished\":{\"view\":{\"id\":\"job").unwrap();
         drop(f);
         let before = std::fs::metadata(&path).unwrap().len();
         let (_j, replayed) = JobJournal::open(&path).unwrap();
@@ -680,7 +434,37 @@ mod tests {
         let flipped = text.replacen("job-1", "job-X", 1);
         std::fs::write(&path, flipped).unwrap();
         let err = JobJournal::open(&path).unwrap_err();
-        assert!(err.contains("corrupted journal line"), "{err}");
+        assert!(err.contains("corrupted at line 2"), "{err}");
+    }
+
+    #[test]
+    fn a_durable_tail_that_does_not_parse_is_refused_not_dropped() {
+        // An event kind this build does not know (say, one written by a
+        // newer build): its line is checksummed and synced, so it may have
+        // been acknowledged. Dropping it as a torn tail would lose it.
+        #[derive(Serialize)]
+        enum FutureEvent {
+            Rebalanced { job: String },
+        }
+        let path = tmp("durable-tail");
+        {
+            let (mut j, _) = JobJournal::open(&path).unwrap();
+            j.append(&submitted("job-1")).unwrap();
+        }
+        let future = FutureEvent::Rebalanced {
+            job: "job-1".to_string(),
+        };
+        pmtx::log::append_unlocked(&path, &future).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let err = JobJournal::open(&path).unwrap_err();
+        assert!(err.contains("corrupted at line 3"), "{err}");
+        assert!(err.contains("refusing to resume"), "{err}");
+        assert!(read_events(&path).unwrap_err().contains("line 3"));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "a refused journal is never truncated"
+        );
     }
 
     fn shard_finished(id: &str, shard: u64) -> JobEvent {

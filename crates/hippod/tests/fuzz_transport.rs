@@ -144,6 +144,7 @@ proptest! {
     /// Torn, oversized, and garbage byte streams never panic the daemon,
     /// never wedge a handler, and never poison service for the next
     /// well-formed connection.
+    #[test]
     fn hostile_byte_streams_never_break_the_daemon(attack in attack_strategy()) {
         run_attack(&attack).unwrap_or_else(|why| panic!("{why} (attack: {attack:?})"));
         // The daemon still serves a fresh, polite connection.
@@ -180,6 +181,7 @@ proptest! {
     /// after any number of staged chunks, optionally mid-frame — leaks
     /// neither its connection slot nor its staged upload budget: the
     /// daemon still serves a polite chunked upload afterwards.
+    #[test]
     fn mid_chunk_connection_drops_leak_no_budget_or_slots(
         staged in 1u64..6,
         torn_tail in proptest::option::of(1usize..32),
@@ -258,6 +260,7 @@ proptest! {
     /// the reassembled server-side spec is byte-identical to the sender's —
     /// proven end-to-end by the follow-up inline submission of the same
     /// spec hitting the result cache with identical output.
+    #[test]
     fn chunked_upload_reassembles_byte_identically(
         picks in proptest::collection::vec(0usize..PALETTE.len(), 1..512),
         threshold in 1usize..96,

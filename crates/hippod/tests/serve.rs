@@ -16,6 +16,10 @@ fn tmp(name: &str) -> PathBuf {
     d
 }
 
+/// The same missing-flush bug behind a million-iteration volatile loop, so
+/// one job keeps a worker busy for far longer than a client round trip.
+const SLOW: &str = "fn main() {\n    var p: ptr = pmem_map(0, 4096);\n    var i: int = 0;\n    while (i < 1000000) { i = i + 1; }\n    store8(p, 0, i);\n    print(load8(p, 0));\n}\n";
+
 fn spec(kind: JobKind) -> JobSpec {
     JobSpec::new(kind, vec![("buggy.pmc".to_string(), BUGGY.to_string())])
 }
@@ -98,11 +102,13 @@ fn full_queue_answers_busy_and_canceled_jobs_never_run() {
     });
     let mut c = Client::connect_retry(&socket, Duration::from_secs(5)).unwrap();
 
-    // One slow-ish job occupies the worker; the queue holds one more; the
+    // One slow job occupies the worker; the queue holds one more; the
     // third gets explicit backpressure.
-    let first = c
-        .submit_retry(spec(JobKind::Fix), Duration::from_secs(5))
-        .unwrap();
+    let slow = JobSpec::new(
+        JobKind::Fix,
+        vec![("slow.pmc".to_string(), SLOW.to_string())],
+    );
+    let first = c.submit_retry(slow, Duration::from_secs(5)).unwrap();
     let mut queued = None;
     let mut saw_busy = false;
     for _ in 0..200 {
@@ -122,13 +128,25 @@ fn full_queue_answers_busy_and_canceled_jobs_never_run() {
     assert!(saw_busy, "a full queue must answer Busy with a retry hint");
 
     // Cancel the queued job: it goes terminal without running.
-    if let Some(id) = &queued {
-        let view = c.cancel(id).unwrap();
-        if view.state == JobState::Canceled {
+    let canceled = queued.as_ref().and_then(|id| match c.cancel(id) {
+        Ok(view) if view.state == JobState::Canceled => {
             assert!(view.result.is_none());
-        } // else the worker won the race and ran it — also legal.
-    }
+            Some(id.clone())
+        }
+        // The worker won the race and already ran it — also legal.
+        Ok(_) => None,
+        Err(e) => {
+            assert!(e.contains("already running"), "{e}");
+            None
+        }
+    });
     c.wait(&first, Duration::from_secs(30)).unwrap();
+    // Once the worker is free again, the canceled job still never ran.
+    if let Some(id) = &canceled {
+        let view = c.status(id).unwrap();
+        assert_eq!(view.state, JobState::Canceled);
+        assert!(view.result.is_none());
+    }
     c.shutdown().unwrap();
     server.join().unwrap().unwrap();
 }
@@ -343,6 +361,9 @@ fn standby_takes_over_and_serves_journaled_results_byte_identically() {
         idle_timeout: Duration::from_millis(500),
         ..ServerConfig::default()
     });
+    // The primary holds the journal lock before it binds its socket, so
+    // once it answers, the standby cannot win the first election.
+    let mut c = Client::connect_retry(&primary_sock, Duration::from_secs(5)).unwrap();
     let standby = start(ServerConfig {
         socket: standby_sock.clone(),
         journal: Some(journal.clone()),
@@ -350,7 +371,6 @@ fn standby_takes_over_and_serves_journaled_results_byte_identically() {
         workers: 2,
         ..ServerConfig::default()
     });
-    let mut c = Client::connect_retry(&primary_sock, Duration::from_secs(5)).unwrap();
     let id = c
         .submit_retry(spec(JobKind::Fix), Duration::from_secs(5))
         .unwrap();

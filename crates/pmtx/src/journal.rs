@@ -1,54 +1,23 @@
 //! The write-ahead repair journal (`hippo.journal.v1`).
 //!
-//! # On-disk format
-//!
-//! The journal is a line-oriented text file. Every line is
-//!
-//! ```text
-//! <payload>#<checksum>\n
-//! ```
-//!
-//! where `<payload>` is a single-line JSON document and `<checksum>` is the
-//! FNV-1a 64 hash of the payload bytes as 16 lowercase hex digits. The first
-//! line's payload is a [`JournalHeader`] naming the schema version and the
+//! One record schema over the checksummed log ([`crate::log`], which owns
+//! the on-disk format, the torn-tail/corruption recovery rule, the lock and
+//! the fence). Line 1 is a [`JournalHeader`] naming the schema and the
 //! digests of the input module and repair options; every later line is one
 //! committed [`RoundRecord`].
 //!
-//! # Durability and recovery rules
+//! On top of the log's rules, a resume refuses:
 //!
-//! Appends are flushed with `sync_data` before the engine continues, so a
-//! record present in the journal is durable. On reopen:
-//!
-//! - A **torn final line** (bad checksum or missing trailing newline on the
-//!   last line only) is the expected residue of a crash mid-append: the round
-//!   never committed. It is dropped, the file is truncated back to the last
-//!   good line, and a diagnostic is surfaced.
-//! - **Any other invalid line** means the file was edited or the medium
-//!   corrupted it; the journal is rejected with [`JournalError::Corrupted`]
-//!   rather than silently resuming from a wrong state.
-//! - Round records must be numbered 1, 2, 3, … in file order; a gap or
-//!   reorder is corruption.
-//!
-//! Resume additionally refuses ([`JournalError::StateMismatch`]) when the
-//! journal's recorded module or options digest differs from the current
-//! run's: replaying fixes computed for a different input would be exactly
-//! the kind of harm Hippocrates exists to prevent.
-//!
-//! # Locking
-//!
-//! Every open journal holds an exclusive advisory lock (see
-//! [`crate::lock`]) on a `<journal>.lock` sidecar. A second daemon — or a
-//! concurrent `hippoctl fix --journal` — on the same journal is refused
-//! with a "held by pid N" diagnostic instead of interleaving appends. The
-//! lock dies with the holding process, so `kill -9` never wedges a resume.
+//! - round records not numbered 1, 2, 3, … in file order: a gap or reorder
+//!   is corruption ([`JournalError::Corrupted`]);
+//! - a journal whose recorded module or options digest differs from the
+//!   current run's ([`JournalError::StateMismatch`]): replaying fixes
+//!   computed for a different input would be exactly the kind of harm
+//!   Hippocrates exists to prevent.
 
-use crate::framing::{decode_line, encode_line, split_lines};
-use crate::lock::{FileLock, LockError};
+use crate::log::{Header, JournalError, Log};
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The schema identifier written into (and required of) every journal.
 pub const JOURNAL_SCHEMA: &str = "hippo.journal.v1";
@@ -75,6 +44,12 @@ impl JournalHeader {
     }
 }
 
+impl Header for JournalHeader {
+    fn schema(&self) -> &str {
+        &self.schema
+    }
+}
+
 /// One committed repair round.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundRecord {
@@ -96,82 +71,12 @@ pub struct RoundRecord {
     pub patch: String,
 }
 
-/// Why a journal could not be created, read, or appended to.
-#[derive(Debug)]
-pub enum JournalError {
-    /// Filesystem failure.
-    Io {
-        /// The journal path.
-        path: PathBuf,
-        /// The underlying error.
-        error: std::io::Error,
-    },
-    /// An interior line failed its checksum or structural checks.
-    Corrupted {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        reason: String,
-    },
-    /// The file's header names a schema this build does not speak.
-    SchemaMismatch {
-        /// The schema string found in the file.
-        found: String,
-    },
-    /// The journal belongs to a different module or options configuration.
-    StateMismatch {
-        /// `"module"` or `"options"`.
-        what: &'static str,
-        /// Digest recorded in the journal (hex).
-        journal: String,
-        /// Digest of the current run (hex).
-        current: String,
-    },
-    /// Another live process holds the journal's advisory lock.
-    Locked(LockError),
-}
-
-impl fmt::Display for JournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournalError::Io { path, error } => {
-                write!(f, "journal {}: {error}", path.display())
-            }
-            JournalError::Corrupted { line, reason } => write!(
-                f,
-                "journal corrupted at line {line}: {reason}; refusing to resume \
-                 (delete the journal to start over)"
-            ),
-            JournalError::SchemaMismatch { found } => write!(
-                f,
-                "journal schema `{found}` is not `{JOURNAL_SCHEMA}`; refusing to resume"
-            ),
-            JournalError::StateMismatch {
-                what,
-                journal,
-                current,
-            } => write!(
-                f,
-                "journal was recorded for {what} digest {journal} but the current \
-                 {what} digest is {current}; refusing to resume (re-run without \
-                 --resume to start a fresh journal)"
-            ),
-            JournalError::Locked(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
-
 /// An open journal: the parsed committed rounds plus an append handle.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
-    file: File,
+    log: Log,
     header: JournalHeader,
     rounds: Vec<RoundRecord>,
-    /// Exclusive advisory lock; held for the journal's whole lifetime.
-    _lock: FileLock,
 }
 
 /// The result of resuming an existing journal.
@@ -187,193 +92,62 @@ impl Journal {
     /// Creates (or truncates) a fresh journal for `header` and makes the
     /// header durable.
     pub fn create(path: impl AsRef<Path>, header: JournalHeader) -> Result<Journal, JournalError> {
-        let lock = FileLock::acquire(path.as_ref()).map_err(JournalError::Locked)?;
-        Journal::create_locked(path, header, lock)
-    }
-
-    /// [`Journal::create`] with an already-acquired lock (the resume path
-    /// holds the lock before it knows whether the file is fresh).
-    fn create_locked(
-        path: impl AsRef<Path>,
-        header: JournalHeader,
-        lock: FileLock,
-    ) -> Result<Journal, JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let io = |error| JournalError::Io {
-            path: path.clone(),
-            error,
-        };
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(io)?;
-        let payload = serde_json::to_string(&header).map_err(|e| JournalError::Io {
-            path: path.clone(),
-            error: std::io::Error::other(e.to_string()),
-        })?;
-        file.write_all(encode_line(&payload).as_bytes())
-            .map_err(io)?;
-        file.sync_data().map_err(io)?;
         Ok(Journal {
-            path,
-            file,
+            log: Log::create(path, &header)?,
             header,
             rounds: Vec::new(),
-            _lock: lock,
         })
     }
 
     /// Opens an existing journal for `expected`, replay-ready.
     ///
-    /// Tolerates exactly one torn final line (see the module docs); any other
-    /// damage is an error. Refuses journals whose module or options digest
-    /// differs from `expected`.
+    /// Tolerates exactly one torn final line (see [`crate::log`]); any other
+    /// damage is an error. A file with no committed state starts fresh.
+    /// Refuses journals whose module or options digest differs from
+    /// `expected`.
     pub fn resume(
         path: impl AsRef<Path>,
         expected: &JournalHeader,
     ) -> Result<Resumed, JournalError> {
-        let lock = FileLock::acquire(path.as_ref()).map_err(JournalError::Locked)?;
-        let path = path.as_ref().to_path_buf();
-        let io = |error| JournalError::Io {
-            path: path.clone(),
-            error,
-        };
-        let mut text = String::new();
-        File::open(&path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(io)?;
-
-        let mut diagnostics = Vec::new();
-
-        // Split into physical lines, keeping byte offsets so a torn tail can
-        // be truncated away before we append anything after it.
-        let lines = split_lines(&text);
-
-        // Decode every line; a bad line is tolerable only as the very last.
-        let mut good_end = text.len();
-        let mut payloads: Vec<(usize, String)> = Vec::new();
-        for (idx, line) in lines.iter().enumerate() {
-            let last = idx + 1 == lines.len();
-            let verdict = if !line.terminated {
-                Err("unterminated line".to_string())
-            } else {
-                decode_line(line.body).map(str::to_string)
-            };
-            match verdict {
-                Ok(payload) => payloads.push((idx + 1, payload)),
-                Err(reason) if last => {
-                    diagnostics.push(format!(
-                        "dropped torn journal tail at line {} ({reason}): the \
-                         in-flight round never committed",
-                        idx + 1
-                    ));
-                    good_end = line.offset;
-                }
-                Err(reason) => {
-                    return Err(JournalError::Corrupted {
-                        line: idx + 1,
-                        reason,
-                    })
-                }
-            }
-        }
-
-        let mut it = payloads.into_iter();
-        let header: JournalHeader = match it.next() {
-            Some((line, payload)) => {
-                serde_json::from_str(&payload).map_err(|e| JournalError::Corrupted {
-                    line,
-                    reason: format!("header does not parse: {e}"),
-                })?
-            }
-            None => {
-                // Nothing durable ever made it to disk (crash before the
-                // header sync): start the journal fresh.
-                diagnostics
-                    .push("journal file held no committed state; starting fresh".to_string());
-                let journal = Journal::create_locked(&path, expected.clone(), lock)?;
-                return Ok(Resumed {
-                    journal,
-                    diagnostics,
+        let opened = Log::open::<JournalHeader, RoundRecord>(path, expected)?;
+        let header = opened.header;
+        for (what, journal, current) in [
+            ("module", &header.module_digest, &expected.module_digest),
+            ("options", &header.options_digest, &expected.options_digest),
+        ] {
+            if journal != current {
+                return Err(JournalError::StateMismatch {
+                    what,
+                    journal: journal.clone(),
+                    current: current.clone(),
                 });
             }
-        };
-        if header.schema != JOURNAL_SCHEMA {
-            return Err(JournalError::SchemaMismatch {
-                found: header.schema,
-            });
         }
-        if header.module_digest != expected.module_digest {
-            return Err(JournalError::StateMismatch {
-                what: "module",
-                journal: header.module_digest,
-                current: expected.module_digest.clone(),
-            });
-        }
-        if header.options_digest != expected.options_digest {
-            return Err(JournalError::StateMismatch {
-                what: "options",
-                journal: header.options_digest,
-                current: expected.options_digest.clone(),
-            });
-        }
-
-        let mut rounds = Vec::new();
-        for (line, payload) in it {
-            let rec: RoundRecord =
-                serde_json::from_str(&payload).map_err(|e| JournalError::Corrupted {
-                    line,
-                    reason: format!("round record does not parse: {e}"),
-                })?;
-            if rec.round as usize != rounds.len() + 1 {
+        for (i, rec) in opened.records.iter().enumerate() {
+            if rec.round as usize != i + 1 {
                 return Err(JournalError::Corrupted {
-                    line,
+                    line: i + 2,
                     reason: format!(
                         "round {} out of order (expected round {})",
                         rec.round,
-                        rounds.len() + 1
+                        i + 1
                     ),
                 });
             }
-            rounds.push(rec);
         }
-
-        let file = OpenOptions::new().write(true).open(&path).map_err(io)?;
-        if good_end < text.len() {
-            file.set_len(good_end as u64).map_err(io)?;
-            file.sync_data().map_err(io)?;
-        }
-        let mut journal = Journal {
-            path,
-            file,
-            header,
-            rounds,
-            _lock: lock,
-        };
-        // Position at the (possibly truncated) end for future appends.
-        use std::io::Seek;
-        journal
-            .file
-            .seek(std::io::SeekFrom::End(0))
-            .map_err(|error| JournalError::Io {
-                path: journal.path.clone(),
-                error,
-            })?;
         Ok(Resumed {
-            journal,
-            diagnostics,
+            journal: Journal {
+                log: opened.log,
+                header,
+                rounds: opened.records,
+            },
+            diagnostics: opened.diagnostics,
         })
     }
 
     /// Appends a committed round and makes it durable before returning.
     pub fn append(&mut self, record: RoundRecord) -> Result<(), JournalError> {
-        let io = |error| JournalError::Io {
-            path: self.path.clone(),
-            error,
-        };
-        if record.round as usize != self.rounds.len() + 1 {
+        if record.round != self.next_round() {
             return Err(JournalError::Corrupted {
                 line: self.rounds.len() + 2,
                 reason: format!(
@@ -383,14 +157,7 @@ impl Journal {
                 ),
             });
         }
-        let payload = serde_json::to_string(&record).map_err(|e| JournalError::Io {
-            path: self.path.clone(),
-            error: std::io::Error::other(e.to_string()),
-        })?;
-        self.file
-            .write_all(encode_line(&payload).as_bytes())
-            .map_err(io)?;
-        self.file.sync_data().map_err(io)?;
+        self.log.append(&record)?;
         self.rounds.push(record);
         Ok(())
     }
@@ -412,13 +179,16 @@ impl Journal {
 
     /// The journal's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("pmtx-journal-{tag}-{}", std::process::id()));
@@ -565,7 +335,7 @@ mod tests {
         };
         Journal::create(&path, header).unwrap();
         match Journal::resume(&path, &JournalHeader::new("aa", "bb")) {
-            Err(JournalError::SchemaMismatch { found }) => {
+            Err(JournalError::SchemaMismatch { found, .. }) => {
                 assert_eq!(found, "hippo.journal.v0")
             }
             other => panic!("expected SchemaMismatch, got {other:?}"),
@@ -622,10 +392,7 @@ mod tests {
         j.append(rec(1)).unwrap();
         drop(j);
         // Hand-forge a well-checksummed record with the wrong round number.
-        let payload = serde_json::to_string(&rec(5)).unwrap();
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(encode_line(&payload).as_bytes()).unwrap();
-        drop(f);
+        crate::log::append_unlocked(&path, &rec(5)).unwrap();
         match Journal::resume(&path, &header) {
             Err(JournalError::Corrupted { reason, .. }) => {
                 assert!(reason.contains("out of order"), "{reason}")

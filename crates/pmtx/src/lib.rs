@@ -2,16 +2,21 @@
 //!
 //! Hippocrates repairs crash-consistency bugs, so its own repair pipeline is
 //! held to the same standard the paper holds its target programs to: every
-//! mutation is transactional. This crate provides the two primitives the
+//! mutation is transactional. This crate provides the primitives the
 //! engine builds rounds out of:
 //!
 //! - [`Budget`] — a cooperative wall-clock deadline plus step quota threaded
 //!   through the detect/explore/static/repair stages, so a run degrades to a
 //!   partial-but-committed outcome instead of hanging.
-//! - [`Journal`] — the append-only, checksummed, versioned
-//!   (`hippo.journal.v1`) write-ahead repair journal. Committed rounds are
-//!   durable before the engine moves on; after a SIGKILL, `--resume` replays
-//!   them idempotently and continues where the run left off.
+//! - [`log::Log`] — the one checksummed append-only log under every
+//!   journal: the on-disk line format, the recovery rule (drop a torn tail,
+//!   refuse interior corruption, never lose a durable record), the flock,
+//!   the epoch fence, and the crash-atomic rewrite used by compaction.
+//! - [`Journal`] — the versioned (`hippo.journal.v1`) write-ahead repair
+//!   journal, one record schema over the log. Committed rounds are durable
+//!   before the engine moves on; after a SIGKILL, `--resume` replays them
+//!   idempotently and continues where the run left off. `hippod`'s job
+//!   journal (`hippo.jobs.v1`) is the other schema over the same log.
 //! - [`LeaseTable`] — epoch-numbered, heartbeat-renewed shard leases with
 //!   expiry reclaim, bounded retries, poison-shard quarantine, and epoch
 //!   fencing; the pure state machine behind `hippod`'s self-healing
@@ -23,12 +28,13 @@
 //! `pmtx`, never back up.
 
 pub mod budget;
-pub mod framing;
 pub mod journal;
 pub mod lease;
 pub mod lock;
+pub mod log;
 
 pub use budget::{Budget, BudgetExceeded};
-pub use journal::{Journal, JournalError, JournalHeader, Resumed, RoundRecord, JOURNAL_SCHEMA};
+pub use journal::{Journal, JournalHeader, Resumed, RoundRecord, JOURNAL_SCHEMA};
 pub use lease::{Lease, LeaseError, LeaseTable, Reclaimed};
 pub use lock::{FileLock, LockError};
+pub use log::JournalError;

@@ -19,6 +19,10 @@ cargo test -q --workspace
 echo "==> differential tier gate (interp and fast must be observationally identical)"
 cargo test -q --release -p system-tests --test tier_differential
 
+echo "==> perfbench build + self-tests (its own workspace: --workspace never compiles it)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

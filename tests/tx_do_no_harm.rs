@@ -8,6 +8,11 @@ use hippocrates::{Hippocrates, RepairOptions};
 use pmfault::{FaultKind, FaultPlan, FaultSite, Trigger};
 use pmvm::{Vm, VmOptions};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Numbers the journal files of `journal_resume_replays_committed_rounds`,
+/// so no two cases (nor two runs of the property) share a path.
+static JOURNAL_CASE: AtomicUsize = AtomicUsize::new(0);
 
 /// The publish-pattern program family from `explore_do_no_harm`: `n_keys`
 /// records, each a data line and a flag line, with per-site persists
@@ -120,7 +125,8 @@ proptest! {
     fn journal_resume_replays_committed_rounds(n_keys in 1u8..4, mask in 0u8..=255) {
         let dir = std::env::temp_dir().join(format!("hippo-tx-prop-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("k{n_keys}m{mask}.journal"));
+        let case = JOURNAL_CASE.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("case{case}-k{n_keys}m{mask}.journal"));
         std::fs::remove_file(&path).ok();
         let src = program(n_keys, mask);
         let opts = || RepairOptions {
