@@ -1314,6 +1314,23 @@ mod tests {
                 "{cmd}: no cli.{cmd} span in {:?}",
                 snap.span_stages()
             );
+            if cmd == "fix" {
+                // A dynamic fix times its checker as a stage of detection.
+                let parent = |s: &pmobs::SpanRec| {
+                    s.parent.and_then(|p| snap.spans.iter().find(|q| q.id == p))
+                };
+                let under_detect = |s: &pmobs::SpanRec| {
+                    std::iter::successors(parent(s), |&a| parent(a))
+                        .any(|a| a.name == "repair.detect")
+                };
+                assert!(
+                    snap.spans
+                        .iter()
+                        .any(|s| s.name == "check.trace" && under_detect(s)),
+                    "fix: no check.trace span under repair.detect in {:?}",
+                    snap.spans
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

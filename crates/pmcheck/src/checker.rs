@@ -2,37 +2,112 @@
 
 use crate::bug::{Bug, BugKind, CheckReport, Checkpoint, RedundantFlush};
 use pmtrace::{Event, EventKind, Trace};
-use std::collections::BTreeSet;
+use std::borrow::Cow;
 
 const CACHE_LINE: u64 = 64;
 
-fn lines_of(addr: u64, len: u64) -> BTreeSet<u64> {
-    let mut lines = BTreeSet::new();
-    let mut line = addr & !(CACHE_LINE - 1);
-    while line < addr + len.max(1) {
-        lines.insert(line);
-        line += CACHE_LINE;
-    }
-    lines
+/// A subset of one store's cache lines, by index from the store's first
+/// line: one inline word for stores of up to 64 lines (4 KiB), spilled to
+/// one word per 64 lines above that.
+#[derive(Debug)]
+enum LineMask {
+    Inline(u64),
+    Spilled(Box<[u64]>),
 }
 
-/// One tracked (not yet durable) store.
+impl LineMask {
+    /// The mask of all `lines` lines (`full`) or of none of them.
+    fn new(lines: u64, full: bool) -> Self {
+        let tail = |n: u64| if full { u64::MAX >> (64 - n) } else { 0 };
+        if lines <= 64 {
+            return LineMask::Inline(tail(lines));
+        }
+        let mut words = vec![if full { u64::MAX } else { 0 }; lines.div_ceil(64) as usize];
+        if let Some(last) = words.last_mut() {
+            *last = tail((lines - 1) % 64 + 1);
+        }
+        LineMask::Spilled(words.into_boxed_slice())
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            LineMask::Inline(w) => std::slice::from_ref(w),
+            LineMask::Spilled(ws) => ws,
+        }
+    }
+
+    /// The word holding line `i`, and `i`'s bit in it.
+    fn word_mut(&mut self, i: u64) -> (&mut u64, u64) {
+        match self {
+            LineMask::Inline(w) => (w, 1 << i),
+            LineMask::Spilled(ws) => (&mut ws[(i / 64) as usize], 1 << (i % 64)),
+        }
+    }
+
+    fn contains(&self, i: u64) -> bool {
+        self.words()[(i / 64) as usize] & (1 << (i % 64)) != 0
+    }
+
+    fn insert(&mut self, i: u64) {
+        let (w, bit) = self.word_mut(i);
+        *w |= bit;
+    }
+
+    /// Removes line `i`; returns whether it was present.
+    fn remove(&mut self, i: u64) -> bool {
+        let (w, bit) = self.word_mut(i);
+        let had = *w & bit != 0;
+        *w &= !bit;
+        had
+    }
+
+    fn clear(&mut self) {
+        match self {
+            LineMask::Inline(w) => *w = 0,
+            LineMask::Spilled(ws) => ws.fill(0),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words().iter().all(|&w| w == 0)
+    }
+
+    /// The indices of the lines present, ascending.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words().iter().enumerate().flat_map(|(k, &w)| {
+            std::iter::successors(Some(w), |&w| Some(w & w.wrapping_sub(1)))
+                .take_while(|&w| w != 0)
+                .map(move |w| k as u64 * 64 + u64::from(w.trailing_zeros()))
+        })
+    }
+}
+
+/// One tracked (not yet durable) store. Its lines are the contiguous run
+/// of `lines` cache lines from `first_line`.
 #[derive(Debug)]
-struct StoreRecord {
-    event: Event,
+struct StoreRecord<'a> {
+    /// The store event: borrowed from the trace by [`check_trace`], owned
+    /// by the streaming [`OnlineChecker`].
+    event: Cow<'a, Event>,
     addr: u64,
     len: u64,
+    first_line: u64,
+    lines: u64,
     /// Lines not yet covered by any flush.
-    unflushed: BTreeSet<u64>,
+    unflushed: LineMask,
     /// Lines flushed weakly, awaiting a fence.
-    pending: BTreeSet<u64>,
-    /// Whether any flush ever touched this store.
-    saw_flush: bool,
+    pending: LineMask,
 }
 
-impl StoreRecord {
+impl StoreRecord<'_> {
     fn is_durable(&self) -> bool {
         self.unflushed.is_empty() && self.pending.is_empty()
+    }
+
+    /// The index of `line` among this store's lines, if it is one of them.
+    fn line_index(&self, line: u64) -> Option<u64> {
+        let i = line.checked_sub(self.first_line)? / CACHE_LINE;
+        (i < self.lines).then_some(i)
     }
 }
 
@@ -41,13 +116,14 @@ impl StoreRecord {
 /// [crate docs](crate) for the classification rules.
 ///
 /// Equivalent to feeding every event into an [`OnlineChecker`] and calling
-/// [`OnlineChecker::finish`].
+/// [`OnlineChecker::finish`], except that tracked stores borrow their
+/// events from `trace` instead of cloning them.
 pub fn check_trace(trace: &Trace) -> CheckReport {
-    let mut c = OnlineChecker::new();
+    let mut m = Machine::default();
     for e in &trace.events {
-        c.feed(e);
+        m.feed(e, Cow::Borrowed);
     }
-    c.finish()
+    m.report
 }
 
 /// The streaming form of the checker: feed events as they happen (e.g.
@@ -77,10 +153,7 @@ pub fn check_trace(trace: &Trace) -> CheckReport {
 /// ```
 #[derive(Debug, Default)]
 pub struct OnlineChecker {
-    report: CheckReport,
-    live: Vec<StoreRecord>,
-    last_fence_seq: Option<u64>,
-    crash_points: u64,
+    machine: Machine<'static>,
 }
 
 impl OnlineChecker {
@@ -92,122 +165,146 @@ impl OnlineChecker {
     /// Number of stores currently tracked as non-durable (the checker's
     /// working-set size).
     pub fn live_stores(&self) -> usize {
-        self.live.len()
+        self.machine.live.len()
     }
 
     /// Processes one event.
     pub fn feed(&mut self, e: &Event) {
-        match &e.kind {
+        self.machine.feed(e, |e| Cow::Owned(e.clone()));
+    }
+
+    /// Consumes the checker and returns the accumulated report.
+    pub fn finish(self) -> CheckReport {
+        self.machine.report
+    }
+}
+
+/// The state machine behind both forms; tracked stores hold their events
+/// for `'a`.
+#[derive(Debug, Default)]
+struct Machine<'a> {
+    report: CheckReport,
+    live: Vec<StoreRecord<'a>>,
+    last_fence_seq: Option<u64>,
+    crash_points: u64,
+}
+
+impl<'a> Machine<'a> {
+    /// Processes one event; `keep` turns a store's event into the handle
+    /// its record holds.
+    fn feed<'e>(&mut self, e: &'e Event, keep: impl FnOnce(&'e Event) -> Cow<'a, Event>) {
+        match e.kind {
             EventKind::Store { addr, len } => {
                 self.report.stores_checked += 1;
-                let all = lines_of(*addr, *len);
+                let first_line = addr & !(CACHE_LINE - 1);
+                // The last byte written, clamped at the end of the address
+                // space.
+                let last = addr.saturating_add(len.max(1) - 1);
+                let lines = last / CACHE_LINE - first_line / CACHE_LINE + 1;
                 self.live.push(StoreRecord {
-                    event: e.clone(),
-                    addr: *addr,
-                    len: *len,
-                    unflushed: all,
-                    pending: BTreeSet::new(),
-                    saw_flush: false,
+                    event: keep(e),
+                    addr,
+                    len,
+                    first_line,
+                    lines,
+                    unflushed: LineMask::new(lines, true),
+                    pending: LineMask::new(lines, false),
                 });
             }
             EventKind::Flush { kind, addr } => {
                 self.report.flushes_seen += 1;
                 let line = addr & !(CACHE_LINE - 1);
-                let mut hit = false;
+                let weak = kind.is_weakly_ordered();
+                let (mut hit, mut retired) = (false, false);
                 for rec in self.live.iter_mut() {
-                    if rec.unflushed.remove(&line) {
+                    let Some(i) = rec.line_index(line) else {
+                        continue;
+                    };
+                    if rec.unflushed.remove(i) {
                         hit = true;
-                        rec.saw_flush = true;
-                        if kind.is_weakly_ordered() {
-                            rec.pending.insert(line);
-                        }
                         // A strong flush (CLFLUSH) makes the line durable
                         // immediately: nothing is added to `pending`.
-                    } else if rec.pending.contains(&line) {
+                        if weak {
+                            rec.pending.insert(i);
+                        } else {
+                            retired |= rec.is_durable();
+                        }
+                    } else if rec.pending.contains(i) {
                         // Re-flushing a pending line is allowed; a strong
                         // flush upgrades it to durable.
                         hit = true;
-                        if !kind.is_weakly_ordered() {
-                            rec.pending.remove(&line);
+                        if !weak {
+                            rec.pending.remove(i);
+                            retired |= rec.is_durable();
                         }
                     }
                 }
                 if !hit {
                     self.report.redundant_flushes.push(RedundantFlush {
-                        addr: *addr,
+                        addr,
                         at: e.at.clone(),
                         loc: e.loc.clone(),
                         seq: e.seq,
                     });
                 }
-                self.live.retain(|r| !r.is_durable());
+                if retired {
+                    self.live.retain(|r| !r.is_durable());
+                }
             }
             EventKind::Fence { .. } => {
                 self.report.fences_seen += 1;
                 self.last_fence_seq = Some(e.seq);
+                let mut retired = false;
                 for rec in self.live.iter_mut() {
                     rec.pending.clear();
+                    retired |= rec.unflushed.is_empty();
                 }
-                self.live.retain(|r| !r.is_durable());
+                if retired {
+                    self.live.retain(|r| !r.is_durable());
+                }
             }
             EventKind::CrashPoint => {
                 self.crash_points += 1;
-                audit(
-                    &self.live,
-                    Checkpoint::CrashPoint(self.crash_points),
-                    self.last_fence_seq,
-                    &mut self.report,
-                );
+                self.audit(Checkpoint::CrashPoint(self.crash_points));
             }
-            EventKind::ProgramEnd => {
-                audit(
-                    &self.live,
-                    Checkpoint::ProgramEnd,
-                    self.last_fence_seq,
-                    &mut self.report,
-                );
-            }
+            EventKind::ProgramEnd => self.audit(Checkpoint::ProgramEnd),
             EventKind::RegisterPool { .. } => {}
         }
     }
 
-    /// Consumes the checker and returns the accumulated report.
-    pub fn finish(self) -> CheckReport {
-        self.report
-    }
-}
-
-fn audit(
-    live: &[StoreRecord],
-    checkpoint: Checkpoint,
-    last_fence_seq: Option<u64>,
-    report: &mut CheckReport,
-) {
-    for rec in live {
-        debug_assert!(!rec.is_durable());
-        let fence_after_store = last_fence_seq.is_some_and(|f| f > rec.event.seq);
-        let kind = if rec.unflushed.is_empty() {
-            // Fully flushed, but some lines still awaiting a fence.
-            BugKind::MissingFence
-        } else if fence_after_store {
-            // A fence exists downstream of the store; only flushes are
-            // missing (inserting flushes before that fence would have
-            // sufficed). This mirrors pmemcheck's "not flushed" report.
-            BugKind::MissingFlush
-        } else {
-            BugKind::MissingFlushFence
-        };
-        report.bugs.push(Bug {
-            kind,
-            addr: rec.addr,
-            len: rec.len,
-            store_at: rec.event.at.clone(),
-            store_loc: rec.event.loc.clone(),
-            stack: rec.event.stack.clone(),
-            store_seq: rec.event.seq,
-            checkpoint,
-            unflushed_lines: rec.unflushed.iter().copied().collect(),
-        });
+    /// Reports every live store as a bug at `checkpoint`.
+    fn audit(&mut self, checkpoint: Checkpoint) {
+        for rec in &self.live {
+            debug_assert!(!rec.is_durable());
+            let event = &*rec.event;
+            let fence_after_store = self.last_fence_seq.is_some_and(|f| f > event.seq);
+            let kind = if rec.unflushed.is_empty() {
+                // Fully flushed, but some lines still awaiting a fence.
+                BugKind::MissingFence
+            } else if fence_after_store {
+                // A fence exists downstream of the store; only flushes are
+                // missing (inserting flushes before that fence would have
+                // sufficed). This mirrors pmemcheck's "not flushed" report.
+                BugKind::MissingFlush
+            } else {
+                BugKind::MissingFlushFence
+            };
+            self.report.bugs.push(Bug {
+                kind,
+                addr: rec.addr,
+                len: rec.len,
+                store_at: event.at.clone(),
+                store_loc: event.loc.clone(),
+                stack: event.stack.clone(),
+                store_seq: event.seq,
+                checkpoint,
+                unflushed_lines: rec
+                    .unflushed
+                    .iter()
+                    .map(|i| rec.first_line + i * CACHE_LINE)
+                    .collect(),
+            });
+        }
     }
 }
 
@@ -412,6 +509,43 @@ mod tests {
         .into_iter()
         .collect();
         assert!(check_trace(&t).is_clean());
+    }
+
+    #[test]
+    fn store_wrapping_past_the_address_space_is_clamped() {
+        // `addr + len` overflows u64: the range ends at the last line of
+        // the address space instead of panicking or coming out empty.
+        let t: Trace = vec![store(0, u64::MAX - 10, 100), end(1)]
+            .into_iter()
+            .collect();
+        let mut online = OnlineChecker::new();
+        for e in &t.events {
+            online.feed(e);
+        }
+        for r in [check_trace(&t), online.finish()] {
+            assert_eq!(r.bugs.len(), 1);
+            assert_eq!(r.bugs[0].kind, BugKind::MissingFlushFence);
+            // The last line of the address space, `u64::MAX & !63`.
+            assert_eq!(r.bugs[0].unflushed_lines, vec![u64::MAX - 63]);
+        }
+    }
+
+    #[test]
+    fn store_past_64_lines_tracks_every_line() {
+        // 65 lines, one more than the inline mask holds; flush the first
+        // `n` of them at their last byte, then fence.
+        let check = |n: u64| {
+            let mut events = vec![store(0, PM, 65 * 64)];
+            events.extend((0..n).map(|i| flush(1 + i, PM + i * 64 + 63)));
+            events.push(fence(n + 1));
+            events.push(end(n + 2));
+            check_trace(&events.into_iter().collect())
+        };
+        let r = check(64);
+        assert_eq!(r.bugs.len(), 1);
+        assert_eq!(r.bugs[0].kind, BugKind::MissingFlush);
+        assert_eq!(r.bugs[0].unflushed_lines, vec![PM + 64 * 64]);
+        assert!(check(65).is_clean());
     }
 
     #[test]

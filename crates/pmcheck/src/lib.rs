@@ -16,6 +16,18 @@
 //! performance diagnostics — which Hippocrates deliberately does **not** fix
 //! (paper §7).
 //!
+//! # Cost
+//!
+//! The checker keeps only the stores that are not yet durable. A store's
+//! cache lines are one contiguous run, kept as its first line, a count,
+//! and unflushed/pending bitmasks: one inline word for stores of up to 64
+//! lines (4 KiB), so tracking such a store allocates nothing
+//! ([`check_trace`] borrows its event from the trace; the streaming
+//! [`OnlineChecker`] clones it). A flush costs one range test per live
+//! store, and a flush or fence compacts the live set only when some store
+//! became durable. A store or flush's strings and call stack are cloned
+//! only into the bugs and redundant-flush diagnostics the report emits.
+//!
 //! # Example
 //!
 //! ```

@@ -19,6 +19,7 @@ pub struct CheckedRun {
 }
 
 /// Runs `entry` in `module` with tracing forced on, then checks the trace.
+/// The check is timed as a `check.trace` span on `opts.obs`.
 ///
 /// # Errors
 ///
@@ -29,9 +30,13 @@ pub fn run_and_check(
     mut opts: VmOptions,
 ) -> Result<CheckedRun, VmError> {
     opts.trace = true;
+    let obs = opts.obs.clone();
     let mut run = Vm::new(opts).run(module, entry)?;
     let trace = run.trace.take().expect("tracing was enabled");
-    let report = check_trace(&trace);
+    let report = {
+        let _span = obs.span("check.trace");
+        check_trace(&trace)
+    };
     Ok(CheckedRun { run, trace, report })
 }
 
