@@ -1314,6 +1314,16 @@ mod tests {
                 "{cmd}: no cli.{cmd} span in {:?}",
                 snap.span_stages()
             );
+            if cmd == "explore" {
+                // Recovery boots are timed apart from replay.
+                assert!(
+                    snap.histograms
+                        .get("explore.oracle_boot_us")
+                        .is_some_and(|h| h.count > 0),
+                    "explore: no explore.oracle_boot_us histogram in {:?}",
+                    snap.histograms.keys()
+                );
+            }
             if cmd == "fix" {
                 // A dynamic fix times its checker as a stage of detection.
                 let parent = |s: &pmobs::SpanRec| {

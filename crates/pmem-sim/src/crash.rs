@@ -1,34 +1,35 @@
 //! Crash images: the durable state an observer finds after a failure.
 
 use crate::media::PmMedia;
+use crate::pages::Pages;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A snapshot of every pool's durable bytes at a crash.
 ///
 /// Crash-consistency tests compare images (did the update become durable?)
-/// or boot a fresh [`crate::Machine`] from one to run recovery code.
+/// or boot a fresh [`crate::Machine`] from one to run recovery code. An
+/// image shares its pages with the medium it was taken from, so taking one
+/// costs a reference-count bump per resident page, not a copy.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashImage {
-    pools: BTreeMap<u64, Vec<u8>>,
+    pools: BTreeMap<u64, Pages>,
     bases: BTreeMap<u64, u64>,
 }
 
 impl CrashImage {
     /// Snapshots a medium.
     pub(crate) fn of_media(media: &PmMedia) -> Self {
-        let mut pools = BTreeMap::new();
-        let mut bases = BTreeMap::new();
-        for (hint, p) in media.iter() {
-            pools.insert(hint, p.bytes.clone());
-            bases.insert(hint, p.base);
-        }
-        CrashImage { pools, bases }
+        CrashImage::from_parts(
+            media
+                .iter()
+                .map(|(hint, p)| (hint, p.base, p.bytes.clone())),
+        )
     }
 
-    /// The durable bytes of pool `hint`, if it exists.
-    pub fn pool_bytes(&self, hint: u64) -> Option<&[u8]> {
-        self.pools.get(&hint).map(Vec::as_slice)
+    /// An owned copy of the durable bytes of pool `hint`, if it exists.
+    pub fn pool_bytes(&self, hint: u64) -> Option<Vec<u8>> {
+        self.pools.get(&hint).map(Pages::to_vec)
     }
 
     /// The base address pool `hint` was mapped at.
@@ -42,20 +43,21 @@ impl CrashImage {
     }
 
     /// Iterates over `(hint, base, bytes)` triples in hint order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, &[u8])> {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, &Pages)> {
         self.pools
             .iter()
-            .map(|(&hint, bytes)| (hint, self.bases[&hint], bytes.as_slice()))
+            .map(|(&hint, bytes)| (hint, self.bases[&hint], bytes))
     }
 
-    /// Builds an image directly from `(hint, base, bytes)` pool triples.
-    /// Exploration engines use this to materialize hypothetical crash
-    /// states without going through a [`crate::Machine`].
-    pub fn from_parts(parts: impl IntoIterator<Item = (u64, u64, Vec<u8>)>) -> Self {
+    /// Builds an image directly from `(hint, base, bytes)` pool triples,
+    /// where `bytes` is a `Vec<u8>` or shared [`Pages`]. Exploration
+    /// engines use this to materialize hypothetical crash states without
+    /// going through a [`crate::Machine`].
+    pub fn from_parts<B: Into<Pages>>(parts: impl IntoIterator<Item = (u64, u64, B)>) -> Self {
         let mut pools = BTreeMap::new();
         let mut bases = BTreeMap::new();
         for (hint, base, bytes) in parts {
-            pools.insert(hint, bytes);
+            pools.insert(hint, bytes.into());
             bases.insert(hint, base);
         }
         CrashImage { pools, bases }
@@ -74,18 +76,18 @@ impl CrashImage {
                 continue;
             };
             if addr >= base && end <= pool_end {
-                let off = (addr - base) as usize;
                 let mut buf = [0u8; 8];
-                buf[..len as usize].copy_from_slice(&bytes[off..off + len as usize]);
+                bytes.read((addr - base) as usize, &mut buf[..len as usize]);
                 return Some(i64::from_le_bytes(buf));
             }
         }
         None
     }
 
-    /// Converts the image back into a medium for recovery runs. Reuses the
-    /// image's byte buffers — no pool contents are copied or re-zeroed
-    /// (recovery boots are the explorer's hot path).
+    /// Converts the image back into a medium for recovery runs. The medium
+    /// takes over the image's pages: nothing is copied, and a page is
+    /// copied later only if recovery writes to it while another image or
+    /// medium still shares it.
     pub fn into_media(self) -> PmMedia {
         let mut media = PmMedia::new();
         for (hint, bytes) in self.pools {
@@ -142,7 +144,7 @@ mod tests {
         let rebuilt = crate::crash::CrashImage::from_parts([(
             9u64,
             img.pool_base(9).unwrap(),
-            img.pool_bytes(9).unwrap().to_vec(),
+            img.pool_bytes(9).unwrap(),
         )]);
         assert_eq!(rebuilt, img);
     }

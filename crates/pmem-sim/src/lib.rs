@@ -19,6 +19,16 @@
 //! charges a configurable [`CostModel`] per operation so benchmark harnesses
 //! can report simulated cycles.
 //!
+//! # Cost
+//!
+//! A PM pool's bytes are [`Pages`]: 4 KiB copy-on-write pages shared by
+//! the medium, the cache view, every [`CrashImage`] and every machine
+//! booted from one. Cloning a pool, taking a crash image and mapping a pool
+//! on a restart are O(pages) reference-count bumps, with no byte copied.
+//! The first write to a shared page copies that one page; later writes to
+//! it are plain stores. An all-zero page is never allocated, so a fresh
+//! pool of any size is free until it is written.
+//!
 //! # Example
 //!
 //! ```
@@ -42,6 +52,7 @@ pub mod layout;
 pub mod lineset;
 pub mod machine;
 pub mod media;
+pub mod pages;
 pub mod stats;
 
 pub use cost::CostModel;
@@ -51,6 +62,7 @@ pub use layout::{Region, CACHE_LINE};
 pub use lineset::LineSet;
 pub use machine::Machine;
 pub use media::PmMedia;
+pub use pages::Pages;
 pub use stats::MachineStats;
 
 pub use kinds::{FenceKind, FlushKind};

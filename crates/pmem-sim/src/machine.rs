@@ -9,6 +9,7 @@ use crate::layout::{
 };
 use crate::lineset::LineSet;
 use crate::media::PmMedia;
+use crate::pages::Pages;
 use crate::stats::MachineStats;
 use crate::{FenceKind, FlushKind};
 use std::collections::BTreeMap;
@@ -20,12 +21,13 @@ struct HeapAlloc {
     live: bool,
 }
 
-/// One mapped PM pool's volatile view (the cache-visible bytes).
+/// One mapped PM pool's volatile view (the cache-visible bytes). It shares
+/// pages with the medium until a store lands in them.
 #[derive(Debug, Clone)]
 struct PoolCache {
     hint: u64,
     base: u64,
-    bytes: Vec<u8>,
+    bytes: Pages,
 }
 
 /// The machine. See the [crate docs](crate) for the model.
@@ -269,7 +271,7 @@ impl Machine {
             }
         };
         let bytes = if fresh {
-            vec![0; size as usize]
+            Pages::zeroed(size as usize)
         } else {
             self.media.pool(hint).expect("pool exists").bytes.clone()
         };
@@ -339,36 +341,49 @@ impl Machine {
         }
     }
 
-    fn raw_slice_mut(&mut self, region: Region, addr: u64, len: u64) -> &mut [u8] {
-        let (buf, base): (&mut Vec<u8>, u64) = match region {
+    /// The checked PM pool holding `addr`, and `addr`'s offset in it.
+    fn pm_pool_mut(&mut self, addr: u64) -> (&mut Pages, usize) {
+        let i = self.pool_index_of(addr).expect("checked");
+        let p = &mut self.pools[i];
+        (&mut p.bytes, (addr - p.base) as usize)
+    }
+
+    /// The bytes of a checked volatile range.
+    fn volatile_slice_mut(&mut self, region: Region, addr: u64, len: u64) -> &mut [u8] {
+        let (buf, base) = match region {
             Region::Stack => (&mut self.stack, STACK_BASE),
             Region::Heap => (&mut self.heap, HEAP_BASE),
             Region::Global => (&mut self.globals, GLOBAL_BASE),
-            Region::Pm => {
-                let i = self.pool_index_of(addr).expect("checked");
-                let p = &mut self.pools[i];
-                let off = (addr - p.base) as usize;
-                return &mut p.bytes[off..off + len as usize];
-            }
+            Region::Pm => unreachable!("PM bytes live in pages"),
         };
         let off = (addr - base) as usize;
         &mut buf[off..off + len as usize]
     }
 
-    fn raw_slice(&self, region: Region, addr: u64, len: u64) -> &[u8] {
-        let (buf, base): (&Vec<u8>, u64) = match region {
+    /// Writes `bytes` to a checked range.
+    fn write_raw(&mut self, region: Region, addr: u64, bytes: &[u8]) {
+        if region.is_pm() {
+            let (pool, off) = self.pm_pool_mut(addr);
+            pool.write(off, bytes);
+        } else {
+            self.volatile_slice_mut(region, addr, bytes.len() as u64)
+                .copy_from_slice(bytes);
+        }
+    }
+
+    /// Reads a checked range into `out`.
+    fn read_raw(&self, region: Region, addr: u64, out: &mut [u8]) {
+        let (buf, base) = match region {
             Region::Stack => (&self.stack, STACK_BASE),
             Region::Heap => (&self.heap, HEAP_BASE),
             Region::Global => (&self.globals, GLOBAL_BASE),
             Region::Pm => {
-                let i = self.pool_index_of(addr).expect("checked");
-                let p = &self.pools[i];
-                let off = (addr - p.base) as usize;
-                return &p.bytes[off..off + len as usize];
+                let p = &self.pools[self.pool_index_of(addr).expect("checked")];
+                return p.bytes.read((addr - p.base) as usize, out);
             }
         };
         let off = (addr - base) as usize;
-        &buf[off..off + len as usize]
+        out.copy_from_slice(&buf[off..off + out.len()]);
     }
 
     // ----- loads and stores ---------------------------------------------------
@@ -413,8 +428,7 @@ impl Machine {
                 }
             }
         }
-        self.raw_slice_mut(region, addr, write_len)
-            .copy_from_slice(&bytes[..write_len as usize]);
+        self.write_raw(region, addr, &bytes[..write_len as usize]);
         if region.is_pm() {
             self.stats.pm_stores += 1;
             self.stats.cycles += self.cost.pm_store;
@@ -458,7 +472,7 @@ impl Machine {
                 }
             }
         }
-        out.copy_from_slice(self.raw_slice(region, addr, len));
+        self.read_raw(region, addr, out);
         if region.is_pm() {
             self.stats.pm_loads += 1;
             self.stats.cycles += self.cost.pm_load;
@@ -502,9 +516,9 @@ impl Machine {
         }
         let src_region = self.check_range(src, len)?;
         let dst_region = self.check_range(dst, len)?;
-        let tmp = self.raw_slice(src_region, src, len).to_vec();
-        self.raw_slice_mut(dst_region, dst, len)
-            .copy_from_slice(&tmp);
+        let mut tmp = vec![0; len as usize];
+        self.read_raw(src_region, src, &mut tmp);
+        self.write_raw(dst_region, dst, &tmp);
         self.account_bulk_write(dst_region, dst, len);
         self.stats.cycles += self.cost.bulk_byte * len.div_ceil(16);
         if src_region.is_pm() {
@@ -525,7 +539,12 @@ impl Machine {
             return Ok(());
         }
         let region = self.check_range(dst, len)?;
-        self.raw_slice_mut(region, dst, len).fill(val);
+        if region.is_pm() {
+            let (pool, off) = self.pm_pool_mut(dst);
+            pool.fill(off, len as usize, val);
+        } else {
+            self.volatile_slice_mut(region, dst, len).fill(val);
+        }
         self.account_bulk_write(region, dst, len);
         self.stats.cycles += self.cost.bulk_byte * len.div_ceil(16);
         Ok(())
@@ -627,13 +646,7 @@ impl Machine {
         let Some(i) = self.pool_index_of(line) else {
             return;
         };
-        let p = &self.pools[i];
-        let off = (line - p.base) as usize;
-        let end = (off + CACHE_LINE as usize).min(p.bytes.len());
-        let bytes = p.bytes[off..end].to_vec();
-        let hint = p.hint;
-        let pm = self.media.pool_mut(hint).expect("mapped pool has media");
-        pm.bytes[off..end].copy_from_slice(&bytes);
+        persist_line(&mut self.media, &self.pools[i], line);
         self.dirty_lines.remove(line);
     }
 
@@ -655,11 +668,7 @@ impl Machine {
                 continue;
             }
             if let Some(i) = self.pool_index_of(line) {
-                let p = &self.pools[i];
-                let off = (line - p.base) as usize;
-                let end = (off + CACHE_LINE as usize).min(p.bytes.len());
-                let pm = media.pool_mut(p.hint).expect("media");
-                pm.bytes[off..end].copy_from_slice(&p.bytes[off..end]);
+                persist_line(&mut media, &self.pools[i], line);
             }
         }
         CrashImage::of_media(&media)
@@ -678,11 +687,7 @@ impl Machine {
                 continue;
             }
             if let Some(i) = self.pool_index_of(line) {
-                let p = &self.pools[i];
-                let off = (line - p.base) as usize;
-                let end = (off + CACHE_LINE as usize).min(p.bytes.len());
-                let pm = media.pool_mut(p.hint).expect("media");
-                pm.bytes[off..end].copy_from_slice(&p.bytes[off..end]);
+                persist_line(&mut media, &self.pools[i], line);
             }
         }
         CrashImage::of_media(&media)
@@ -717,8 +722,19 @@ impl Machine {
     /// Returns a [`MemError`] on an invalid range.
     pub fn peek(&self, addr: u64, len: u64) -> Result<Vec<u8>, MemError> {
         let region = self.check_range(addr, len)?;
-        Ok(self.raw_slice(region, addr, len).to_vec())
+        let mut out = vec![0; len as usize];
+        self.read_raw(region, addr, &mut out);
+        Ok(out)
     }
+}
+
+/// Copies the cache line starting at `line` from pool `p`'s cache view to
+/// its durable bytes in `media`.
+fn persist_line(media: &mut PmMedia, p: &PoolCache, line: u64) {
+    let off = (line - p.base) as usize;
+    let len = (CACHE_LINE as usize).min(p.bytes.len() - off);
+    let pm = media.pool_mut(p.hint).expect("mapped pool has media");
+    pm.bytes.copy_from(&p.bytes, off, len);
 }
 
 fn align8(n: u64) -> u64 {

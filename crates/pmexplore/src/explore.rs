@@ -314,178 +314,179 @@ pub fn explore(
     // One decode of the program under test, shared by every worker's
     // recovery boots (the fast tier would otherwise re-decode per boot).
     let decoded = (opts.tier == pmvm::ExecTier::Fast).then(|| pmvm::DecodedModule::decode(module));
-    std::thread::scope(|s| {
-        for w in 0..jobs {
-            let (queue, memo, found, faulted, candidates, fronts, oracle, injector, evaluated) = (
-                &queue,
-                &memo,
-                &found,
-                &faulted,
-                &candidates,
-                &fronts,
-                &oracle,
-                &injector,
-                &evaluated,
-            );
-            let decoded = decoded.as_ref();
-            let obs = opts.obs.clone();
-            s.spawn(move || {
-                let _worker_span = obs.span("explore.worker");
-                let mut processed = 0u64;
-                let mut replayer: Option<Replayer<'_>> = None;
-                let mut at_seq = 0u64;
-                while let Some(range) = queue.pop(w) {
-                    // Cooperative cancellation: stop taking chunks once the
-                    // caller's budget is exhausted. Already-popped candidates
-                    // in this chunk are abandoned too — partial coverage is
-                    // reported below, never silently.
-                    if opts.cancel.is_exhausted() {
-                        break;
-                    }
-                    for idx in range {
-                        processed += 1;
-                        evaluated.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        // Worker-panic isolation: a panic anywhere in one
-                        // candidate's processing (injected or real) skips
-                        // that candidate only. The loop — and the steal
-                        // queue — keep draining, so a panicked worker never
-                        // leaks the remaining frontier.
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            let c = &candidates[idx];
-                            if let Some(inj) = injector.as_ref() {
-                                if let Some(FaultKind::WorkerPanic) =
-                                    inj.fires_at(FaultSite::ExploreWorker, idx as u64)
-                                {
-                                    panic!("pmfault: injected worker panic at candidate {idx}");
-                                }
-                            }
-                            // The replayer is forward-only; a stolen chunk
-                            // that jumps backwards restarts it.
-                            if replayer.is_none() || at_seq > c.after_seq {
-                                replayer =
-                                    Some(Replayer::new(trace, data, opts.initial_media.as_ref()));
-                            }
-                            let r = replayer.as_mut().expect("created above");
-                            r.advance_to(c.after_seq);
-                            at_seq = c.after_seq;
-                            // Hash the candidate from the rolling replayer
-                            // hash — O(persisted lines). The full image (a
-                            // copy of every pool's bytes) is materialized
-                            // only when the memo misses and a recovery boot
-                            // actually needs it.
-                            let h = r.hash_with(&c.lines);
-
-                            let oracle_panic = injector.as_ref().is_some_and(|i| {
-                                matches!(
-                                    i.fires_at(FaultSite::ExploreOracle, idx as u64),
-                                    Some(FaultKind::OraclePanic)
-                                )
-                            });
-                            let diverge = injector.as_ref().is_some_and(|i| {
-                                matches!(
-                                    i.fires_at(FaultSite::VmDiverge, idx as u64),
-                                    Some(FaultKind::StuckLoop)
-                                )
-                            });
-                            let injected = oracle_panic || diverge;
-                            // Faulted candidates bypass the memo in both
-                            // directions: the fault must manifest, and its
-                            // verdict must not leak to other candidates
-                            // that happen to share the image.
-                            let known = if injected {
-                                None
-                            } else {
-                                memo.lock().expect("memo lock").get(&h).cloned()
-                            };
-                            let verdict = match known {
-                                Some(v) => v,
-                                None => {
-                                    let img = r.image_with(&c.lines);
-                                    let watchdog = if diverge {
-                                        Some(opts.recovery_watchdog_ms.unwrap_or(250))
-                                    } else {
-                                        opts.recovery_watchdog_ms
-                                    };
-                                    let fault = diverge.then(|| {
-                                        FaultPlan::single(
-                                            FaultSite::VmDiverge,
-                                            Trigger::Always,
-                                            FaultKind::StuckLoop,
-                                        )
-                                    });
-                                    // Oracle-panic isolation: the pool
-                                    // classifies the panic as an
-                                    // OracleCrash verdict and keeps going.
-                                    let v = catch_unwind(AssertUnwindSafe(|| {
-                                        if oracle_panic {
-                                            panic!(
-                                                "pmfault: injected oracle panic at candidate {idx}"
-                                            );
-                                        }
-                                        oracle.check_opts(
-                                            module,
-                                            img,
-                                            opts.max_recovery_steps,
-                                            watchdog,
-                                            fault,
-                                            opts.tier,
-                                            decoded,
-                                        )
-                                    }))
-                                    .unwrap_or_else(|p| Verdict::OracleCrash {
-                                        what: format!(
-                                            "recovery oracle panicked: {}",
-                                            panic_text(p.as_ref())
-                                        ),
-                                    });
-                                    // Only stable verdicts of un-faulted
-                                    // candidates are image-memoizable.
-                                    if !injected && !matches!(v, Verdict::OracleCrash { .. }) {
-                                        memo.lock().expect("memo lock").insert(h, v.clone());
-                                    }
-                                    v
-                                }
-                            };
-                            match verdict {
-                                Verdict::Inconsistent(failure) => {
-                                    let f = finding(trace, &fronts[c.frontier], c, h, failure);
-                                    found.lock().expect("found lock").push((idx, f));
-                                }
-                                Verdict::OracleCrash { what } => {
-                                    faulted.lock().expect("faulted lock").push((
-                                        idx,
-                                        format!(
-                                            "candidate {idx} (after event {}): {what}",
-                                            c.after_seq
-                                        ),
-                                        false,
-                                    ));
-                                }
-                                Verdict::Consistent => {}
-                            }
-                        }));
-                        if caught.is_err() {
-                            // The replayer may have been mid-advance;
-                            // discard it so the next candidate replays from
-                            // a clean slate.
-                            replayer = None;
-                            faulted.lock().expect("faulted lock").push((
-                                idx,
-                                format!(
-                                    "candidate {idx}: worker panicked mid-enumeration; \
-                                     candidate skipped, queue drained"
-                                ),
-                                true,
-                            ));
+    let decoded = decoded.as_ref();
+    // One worker's loop over the steal queue. A single worker runs on the
+    // calling thread, so a `jobs == 1` call starts no thread.
+    let work = |w: usize| {
+        let obs = opts.obs.clone();
+        let _worker_span = obs.span("explore.worker");
+        let mut processed = 0u64;
+        let mut replayer: Option<Replayer<'_>> = None;
+        let mut at_seq = 0u64;
+        while let Some(range) = queue.pop(w) {
+            // Cooperative cancellation: stop taking chunks once the
+            // caller's budget is exhausted. Already-popped candidates
+            // in this chunk are abandoned too — partial coverage is
+            // reported below, never silently.
+            if opts.cancel.is_exhausted() {
+                break;
+            }
+            for idx in range {
+                processed += 1;
+                evaluated.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                // Worker-panic isolation: a panic anywhere in one
+                // candidate's processing (injected or real) skips
+                // that candidate only. The loop — and the steal
+                // queue — keep draining, so a panicked worker never
+                // leaks the remaining frontier.
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    let c = &candidates[idx];
+                    if let Some(inj) = injector.as_ref() {
+                        if let Some(FaultKind::WorkerPanic) =
+                            inj.fires_at(FaultSite::ExploreWorker, idx as u64)
+                        {
+                            panic!("pmfault: injected worker panic at candidate {idx}");
                         }
                     }
+                    // The replayer is forward-only; a stolen chunk
+                    // that jumps backwards restarts it.
+                    if replayer.is_none() || at_seq > c.after_seq {
+                        replayer = Some(Replayer::new(trace, data, opts.initial_media.as_ref()));
+                    }
+                    let r = replayer.as_mut().expect("created above");
+                    r.advance_to(c.after_seq);
+                    at_seq = c.after_seq;
+                    // Hash the candidate from the rolling replayer
+                    // hash — O(persisted lines). The image (a clone of
+                    // every pool's pages) is materialized only when the
+                    // memo misses and a recovery boot actually needs it.
+                    let h = r.hash_with(&c.lines);
+
+                    let oracle_panic = injector.as_ref().is_some_and(|i| {
+                        matches!(
+                            i.fires_at(FaultSite::ExploreOracle, idx as u64),
+                            Some(FaultKind::OraclePanic)
+                        )
+                    });
+                    let diverge = injector.as_ref().is_some_and(|i| {
+                        matches!(
+                            i.fires_at(FaultSite::VmDiverge, idx as u64),
+                            Some(FaultKind::StuckLoop)
+                        )
+                    });
+                    let injected = oracle_panic || diverge;
+                    // Faulted candidates bypass the memo in both
+                    // directions: the fault must manifest, and its
+                    // verdict must not leak to other candidates
+                    // that happen to share the image.
+                    let known = if injected {
+                        None
+                    } else {
+                        memo.lock().expect("memo lock").get(&h).cloned()
+                    };
+                    let verdict = match known {
+                        Some(v) => v,
+                        None => {
+                            // Boot wall time (image plus recovery
+                            // run), split out from replay.
+                            let boot_started = obs.is_enabled().then(std::time::Instant::now);
+                            let img = r.image_with(&c.lines);
+                            let watchdog = if diverge {
+                                Some(opts.recovery_watchdog_ms.unwrap_or(250))
+                            } else {
+                                opts.recovery_watchdog_ms
+                            };
+                            let fault = diverge.then(|| {
+                                FaultPlan::single(
+                                    FaultSite::VmDiverge,
+                                    Trigger::Always,
+                                    FaultKind::StuckLoop,
+                                )
+                            });
+                            // Oracle-panic isolation: the pool
+                            // classifies the panic as an
+                            // OracleCrash verdict and keeps going.
+                            let v = catch_unwind(AssertUnwindSafe(|| {
+                                if oracle_panic {
+                                    panic!("pmfault: injected oracle panic at candidate {idx}");
+                                }
+                                oracle.check_opts(
+                                    module,
+                                    img,
+                                    opts.max_recovery_steps,
+                                    watchdog,
+                                    fault,
+                                    opts.tier,
+                                    decoded,
+                                )
+                            }))
+                            .unwrap_or_else(|p| {
+                                Verdict::OracleCrash {
+                                    what: format!(
+                                        "recovery oracle panicked: {}",
+                                        panic_text(p.as_ref())
+                                    ),
+                                }
+                            });
+                            if let Some(t) = boot_started {
+                                obs.observe(
+                                    "explore.oracle_boot_us",
+                                    t.elapsed().as_secs_f64() * 1e6,
+                                );
+                            }
+                            // Only stable verdicts of un-faulted
+                            // candidates are image-memoizable.
+                            if !injected && !matches!(v, Verdict::OracleCrash { .. }) {
+                                memo.lock().expect("memo lock").insert(h, v.clone());
+                            }
+                            v
+                        }
+                    };
+                    match verdict {
+                        Verdict::Inconsistent(failure) => {
+                            let f = finding(trace, &fronts[c.frontier], c, h, failure);
+                            found.lock().expect("found lock").push((idx, f));
+                        }
+                        Verdict::OracleCrash { what } => {
+                            faulted.lock().expect("faulted lock").push((
+                                idx,
+                                format!("candidate {idx} (after event {}): {what}", c.after_seq),
+                                false,
+                            ));
+                        }
+                        Verdict::Consistent => {}
+                    }
+                }));
+                if caught.is_err() {
+                    // The replayer may have been mid-advance;
+                    // discard it so the next candidate replays from
+                    // a clean slate.
+                    replayer = None;
+                    faulted.lock().expect("faulted lock").push((
+                        idx,
+                        format!(
+                            "candidate {idx}: worker panicked mid-enumeration; \
+                             candidate skipped, queue drained"
+                        ),
+                        true,
+                    ));
                 }
-                // Per-worker utilization: how evenly the steal queue spread
-                // the candidates across the pool.
-                obs.observe("explore.worker.candidates", processed as f64);
-            });
+            }
         }
-    });
+        // Per-worker utilization: how evenly the steal queue spread
+        // the candidates across the pool.
+        obs.observe("explore.worker.candidates", processed as f64);
+    };
+    if jobs == 1 {
+        work(0);
+    } else {
+        std::thread::scope(|s| {
+            for w in 0..jobs {
+                let work = &work;
+                s.spawn(move || work(w));
+            }
+        });
+    }
 
     let mut raw = found.into_inner().expect("found lock");
     raw.sort_by_key(|(idx, _)| *idx);
@@ -758,6 +759,94 @@ mod tests {
         )
         .unwrap();
         assert_eq!(serial.report, parallel.report);
+    }
+
+    #[test]
+    fn writing_oracle_boots_see_only_their_own_image() {
+        // A recovery that stores, flushes and fences into the page it
+        // shares with the replayer before it judges: a boot counter (each
+        // boot must see 0, so a write that leaked into the replayer's pages
+        // fails every later boot) and a scratch sum it then reads back.
+        let src = r#"
+            fn main() {
+                var p: ptr = pmem_map(11, 4096);
+                store8(p, 64, 4242);
+                clwb(p + 64);
+                store8(p, 0, 1);
+                clwb(p);
+                sfence();
+                crashpoint();
+            }
+            fn recover() -> int {
+                var p: ptr = pmem_map(11, 4096);
+                var boots: int = load8(p, 128);
+                store8(p, 128, boots + 1);
+                clwb(p + 128);
+                sfence();
+                store8(p, 192, load8(p, 0) + load8(p, 64));
+                clwb(p + 192);
+                sfence();
+                if (load8(p, 128) != 1) { return 2; }
+                if (load8(p, 0) == 1) {
+                    if (load8(p, 192) != 4243) { return 1; }
+                }
+                return 0;
+            }
+        "#;
+        let m = pmlang::compile_one("t.pmc", src).unwrap();
+        let opts = ExploreOptions::default();
+        let x = run_and_explore(&m, "main", &opts).unwrap();
+        let parallel = ExploreOptions {
+            jobs: 4,
+            ..ExploreOptions::default()
+        };
+        assert_eq!(
+            x.report,
+            run_and_explore(&m, "main", &parallel).unwrap().report
+        );
+
+        let oracle = Oracle::default_for(&m, "main");
+        let fronts = frontiers(&x.trace, &x.data, None);
+        let mut r = Replayer::new(&x.trace, &x.data, None);
+        let mut failing = BTreeSet::new();
+        let mut verdicts = vec![];
+        for c in sample(&fronts, opts.budget, opts.seed) {
+            r.advance_to(c.after_seq);
+            let before = r.image_with(&[]);
+            let replayed = oracle.check(&m, r.image_with(&c.lines), opts.max_recovery_steps);
+            assert_eq!(r.image_with(&[]), before, "a boot changed the replayer");
+            let vm = Vm::new(VmOptions::default().stop_at_event(c.after_seq))
+                .run(&m, "main")
+                .unwrap();
+            let truth = oracle.check(
+                &m,
+                vm.machine.crash_image_with_lines(&c.lines),
+                opts.max_recovery_steps,
+            );
+            assert_eq!(
+                replayed, truth,
+                "after event {} with {:?}",
+                c.after_seq, c.lines
+            );
+            if !matches!(truth, Verdict::Consistent) {
+                failing.insert(r.hash_with(&c.lines));
+            }
+            verdicts.push(truth);
+        }
+        assert!(verdicts.contains(&Verdict::Consistent));
+        assert!(
+            verdicts.iter().all(|v| !matches!(
+                v,
+                Verdict::Inconsistent(Failure {
+                    return_value: Some(2),
+                    ..
+                })
+            )),
+            "a boot saw another boot's writes"
+        );
+        let found: BTreeSet<u64> = x.report.findings.iter().map(|f| f.image_hash).collect();
+        assert!(!found.is_empty());
+        assert_eq!(found, failing);
     }
 
     #[test]

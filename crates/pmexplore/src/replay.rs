@@ -7,10 +7,10 @@
 //! the same state machine as [`pmem_sim::Machine`], but driven from the
 //! trace and the captured [`pmtrace::DataLog`] instead of from executing
 //! instructions. Materializing a crash candidate `(position, persisted
-//! lines)` is then a copy of the durable bytes with the chosen dirty lines
-//! overlaid from the cache.
+//! lines)` is then a clone of the durable pages with the chosen dirty lines
+//! overlaid from the cache: only the pages holding those lines are copied.
 
-use pmem_sim::{layout::line_of, CrashImage, LineSet, PmMedia, CACHE_LINE};
+use pmem_sim::{layout::line_of, CrashImage, LineSet, Pages, PmMedia, CACHE_LINE};
 use pmtrace::{DataLog, Event, EventKind, Trace};
 use std::collections::BTreeMap;
 
@@ -56,12 +56,25 @@ fn line_term(hint: u64, off: u64, bytes: &[u8]) -> u64 {
     mix64(h)
 }
 
+/// [`line_term`] of the line at byte `off` of `bytes` (clipped to the pool).
+fn line_term_at(hint: u64, bytes: &Pages, off: usize) -> u64 {
+    let len = (bytes.len() - off).min(CACHE_LINE as usize);
+    if let Some(line) = bytes.slice(off, len) {
+        return line_term(hint, off as u64, line);
+    }
+    // Only a pool at a base that is not line-aligned has lines that
+    // straddle two pages.
+    let mut buf = [0u8; CACHE_LINE as usize];
+    bytes.read(off, &mut buf[..len]);
+    line_term(hint, off as u64, &buf[..len])
+}
+
 /// One pool's replayed state.
 #[derive(Debug, Clone)]
 struct PoolState {
     base: u64,
-    durable: Vec<u8>,
-    cache: Vec<u8>,
+    durable: Pages,
+    cache: Pages,
 }
 
 /// Forward-only PM state reconstruction over a trace.
@@ -106,10 +119,10 @@ impl<'t> Replayer<'t> {
         r
     }
 
-    fn insert_pool(&mut self, hint: u64, base: u64, durable: Vec<u8>) {
+    fn insert_pool(&mut self, hint: u64, base: u64, durable: Pages) {
         self.acc ^= header_term(hint, base, durable.len() as u64);
-        for (i, line) in durable.chunks(CACHE_LINE as usize).enumerate() {
-            self.acc ^= line_term(hint, (i * CACHE_LINE as usize) as u64, line);
+        for off in (0..durable.len()).step_by(CACHE_LINE as usize) {
+            self.acc ^= line_term_at(hint, &durable, off);
         }
         let cache = durable.clone();
         self.bases.insert(base, hint);
@@ -140,11 +153,10 @@ impl<'t> Replayer<'t> {
     fn write_back_line(&mut self, line: u64) {
         if let Some((hint, off)) = self.locate(line) {
             let p = self.pools.get_mut(&hint).expect("located");
-            let end = (off + CACHE_LINE as usize).min(p.cache.len());
-            let (durable, cache) = (&mut p.durable, &p.cache);
-            self.acc ^= line_term(hint, off as u64, &durable[off..end]);
-            durable[off..end].copy_from_slice(&cache[off..end]);
-            self.acc ^= line_term(hint, off as u64, &durable[off..end]);
+            let len = (CACHE_LINE as usize).min(p.cache.len() - off);
+            self.acc ^= line_term_at(hint, &p.durable, off);
+            p.durable.copy_from(&p.cache, off, len);
+            self.acc ^= line_term_at(hint, &p.durable, off);
         }
         self.dirty.remove(line);
     }
@@ -157,7 +169,7 @@ impl<'t> Replayer<'t> {
                 if !self.pools.contains_key(hint) {
                     // Pool sizes are line-aligned by the machine; mirror it.
                     let size = (*size).max(1).div_ceil(CACHE_LINE) * CACHE_LINE;
-                    self.insert_pool(*hint, *base, vec![0; size as usize]);
+                    self.insert_pool(*hint, *base, Pages::zeroed(size as usize));
                 }
             }
             EventKind::Store { addr, len } => {
@@ -199,7 +211,7 @@ impl<'t> Replayer<'t> {
             let p = self.pools.get_mut(&hint).expect("located");
             let off = off + line_delta;
             let end = (off + bytes.len()).min(p.cache.len());
-            p.cache[off..end].copy_from_slice(&bytes[..end - off]);
+            p.cache.write(off, &bytes[..end - off]);
         }
         self.mark_dirty(addr, bytes.len() as u64);
     }
@@ -258,11 +270,10 @@ impl<'t> Replayer<'t> {
             prev = Some(line);
             if let Some((hint, off)) = self.locate(line) {
                 let p = &self.pools[&hint];
-                let end = (off + CACHE_LINE as usize).min(p.cache.len());
                 // Persisting the line replaces its durable bytes with the
                 // cache bytes: swap the line's term in the XOR accumulator.
-                h ^= line_term(hint, off as u64, &p.durable[off..end]);
-                h ^= line_term(hint, off as u64, &p.cache[off..end]);
+                h ^= line_term_at(hint, &p.durable, off);
+                h ^= line_term_at(hint, &p.cache, off);
             }
         }
         h
@@ -272,7 +283,7 @@ impl<'t> Replayer<'t> {
     /// the dirty lines in `persisted` raced to the medium first". Non-dirty
     /// entries are ignored.
     pub fn image_with(&self, persisted: &[u64]) -> CrashImage {
-        let mut parts: BTreeMap<u64, (u64, Vec<u8>)> = self
+        let mut parts: BTreeMap<u64, (u64, Pages)> = self
             .pools
             .iter()
             .map(|(&hint, p)| (hint, (p.base, p.durable.clone())))
@@ -283,9 +294,12 @@ impl<'t> Replayer<'t> {
             }
             if let Some((hint, off)) = self.locate(line) {
                 let p = &self.pools[&hint];
-                let end = (off + CACHE_LINE as usize).min(p.cache.len());
-                parts.get_mut(&hint).expect("located").1[off..end]
-                    .copy_from_slice(&p.cache[off..end]);
+                let len = (CACHE_LINE as usize).min(p.cache.len() - off);
+                parts
+                    .get_mut(&hint)
+                    .expect("located")
+                    .1
+                    .copy_from(&p.cache, off, len);
             }
         }
         CrashImage::from_parts(parts.into_iter().map(|(h, (b, bytes))| (h, b, bytes)))

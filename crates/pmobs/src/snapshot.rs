@@ -384,6 +384,24 @@ impl Snapshot {
         if self.spans.is_empty() {
             let _ = writeln!(out, "(no spans recorded)");
         }
+        if !self.histograms.is_empty() {
+            let name_w = self.histograms.keys().map(String::len).max().unwrap_or(0);
+            let name_w = name_w.max("histogram".len());
+            let _ = writeln!(
+                out,
+                "{:<name_w$}  {:>6}  {:>10}  {:>10}",
+                "histogram", "count", "mean", "max"
+            );
+            for (name, h) in &self.histograms {
+                let _ = writeln!(
+                    out,
+                    "{name:<name_w$}  {:>6}  {:>10.3}  {:>10.3}",
+                    h.count,
+                    h.mean(),
+                    h.max
+                );
+            }
+        }
         out
     }
 
@@ -423,7 +441,7 @@ mod tests {
 
     #[test]
     fn timings_table_aggregates_by_name() {
-        let snap = Snapshot {
+        let mut snap = Snapshot {
             spans: vec![
                 SpanRec {
                     id: 0,
@@ -449,8 +467,18 @@ mod tests {
             ],
             ..Snapshot::default()
         };
+        let mut boots = Hist::default();
+        boots.observe(40.0);
+        boots.observe(60.0);
+        snap.histograms
+            .insert("explore.oracle_boot_us".into(), boots);
         let t = snap.render_timings();
         assert!(t.contains("repair.detect"), "{t}");
+        assert!(
+            t.lines()
+                .any(|l| l.starts_with("explore.oracle_boot_us") && l.contains("50.000")),
+            "{t}"
+        );
         assert!(t.contains("vm.run"), "{t}");
         // vm.run appears once, aggregated over 2 calls.
         assert_eq!(t.matches("vm.run").count(), 1, "{t}");

@@ -19,9 +19,27 @@
 //! the source position; both are optional (Hippocrates falls back from one
 //! to the other). Stack frames after the first carry
 //! `function@call_inst(loc)`.
+//!
+//! Ranges are bounded at ingest, because checkers and explorers size
+//! buffers by them: a `REGISTER` must lie inside [`PM_WINDOW`], and a
+//! `STORE` inside a pool registered on an earlier line (the VM registers a
+//! pool at every `pmem_map`, before any store into it).
 
 use crate::event::{Event, EventKind, FenceKind, FlushKind, Frame, IrRef, Trace, TraceLoc};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The simulated PM address window, `pmem_sim::layout::PM_BASE` plus one
+/// `REGION_SPAN`: every pool a machine maps lies inside it.
+pub const PM_WINDOW: std::ops::Range<u64> = 0x3000_0000_0000..0x4000_0000_0000;
+
+/// The end of the extent a machine gives a pool registered at `base` with
+/// `size` (rounded up to whole cache lines), if it lies inside
+/// [`PM_WINDOW`].
+fn pool_end(base: u64, size: u64) -> Option<u64> {
+    let end = base.checked_add(size.max(1).checked_next_multiple_of(64)?)?;
+    (base >= PM_WINDOW.start && end <= PM_WINDOW.end).then_some(end)
+}
 
 /// A parse failure with its 1-based line number and the byte offset of that
 /// line's start in the input — enough for a caller holding the raw bytes to
@@ -121,6 +139,8 @@ pub fn from_log_obs(text: &str, obs: &pmobs::Obs) -> Result<Trace, LogError> {
 
 fn from_log_inner(text: &str) -> Result<Trace, LogError> {
     let mut trace = Trace::new();
+    // Registered pools so far: base -> end.
+    let mut pools = BTreeMap::new();
     let mut seq = 0u64;
     let mut offset = 0usize;
     for (ln, full) in text.split_inclusive('\n').enumerate() {
@@ -157,10 +177,21 @@ fn from_log_inner(text: &str) -> Result<Trace, LogError> {
         };
 
         let kind = match head {
-            "STORE" => EventKind::Store {
-                addr: num(need("addr")?)?,
-                len: num(need("len")?)?,
-            },
+            "STORE" => {
+                let (addr, len) = (num(need("addr")?)?, num(need("len")?)?);
+                let inside = addr.checked_add(len.max(1)).is_some_and(|end| {
+                    pools
+                        .range(..=addr)
+                        .next_back()
+                        .is_some_and(|(_, &pool_end)| end <= pool_end)
+                });
+                if !inside {
+                    return Err(err(format!(
+                        "store of {len} byte(s) at {addr:#x} lies outside every pool registered before it"
+                    )));
+                }
+                EventKind::Store { addr, len }
+            }
             "FLUSH" => EventKind::Flush {
                 kind: parse_flush(need("kind")?).ok_or_else(|| err("bad flush kind".into()))?,
                 addr: num(need("addr")?)?,
@@ -168,11 +199,20 @@ fn from_log_inner(text: &str) -> Result<Trace, LogError> {
             "FENCE" => EventKind::Fence {
                 kind: parse_fence(need("kind")?).ok_or_else(|| err("bad fence kind".into()))?,
             },
-            "REGISTER" => EventKind::RegisterPool {
-                hint: num(need("pool")?)?,
-                base: num(need("base")?)?,
-                size: num(need("size")?)?,
-            },
+            "REGISTER" => {
+                let (hint, base, size) = (
+                    num(need("pool")?)?,
+                    num(need("base")?)?,
+                    num(need("size")?)?,
+                );
+                let end = pool_end(base, size).ok_or_else(|| {
+                    err(format!(
+                        "pool of {size} byte(s) at {base:#x} leaves the PM window {PM_WINDOW:#x?}"
+                    ))
+                })?;
+                pools.insert(base, end);
+                EventKind::RegisterPool { hint, base, size }
+            }
             "CRASHPOINT" => EventKind::CrashPoint,
             "END" => EventKind::ProgramEnd,
             other => return Err(err(format!("unknown event `{other}`"))),
@@ -413,15 +453,59 @@ mod tests {
 
     #[test]
     fn hex_and_decimal_numbers() {
-        let t = from_log("STORE addr=0x40 len=8\nSTORE addr=64 len=8\n").unwrap();
+        let t = from_log(
+            "REGISTER pool=0 base=0x300000000000 size=4096\n\
+             STORE addr=0x300000000040 len=8\nSTORE addr=52776558133312 len=8\n",
+        )
+        .unwrap();
         let addrs: Vec<u64> = t
             .events
             .iter()
-            .map(|e| match e.kind {
-                EventKind::Store { addr, .. } => addr,
-                _ => unreachable!(),
+            .filter_map(|e| match e.kind {
+                EventKind::Store { addr, .. } => Some(addr),
+                _ => None,
             })
             .collect();
-        assert_eq!(addrs, vec![64, 64]);
+        assert_eq!(addrs, vec![0x3000_0000_0040, 0x3000_0000_0040]);
+    }
+
+    #[test]
+    fn stores_outside_registered_pools_are_rejected() {
+        const REG: &str = "REGISTER pool=0 base=0x300000000000 size=100\n";
+        // The pool spans 128 bytes: its size rounds up to whole lines.
+        assert!(from_log(&format!("{REG}STORE addr=0x30000000007f len=1\n")).is_ok());
+        for store in [
+            // A forged length the checker would size a line mask by.
+            "STORE addr=0x300000000000 len=1152921504606846976",
+            // One byte past the pool's last line.
+            "STORE addr=0x300000000078 len=9",
+            // Below the pool, and a range that wraps the address space.
+            "STORE addr=0x2fffffffffff len=1",
+            "STORE addr=0xffffffffffffffff len=2",
+        ] {
+            let err = from_log(&format!("# tool header\n{REG}{store}\n")).unwrap_err();
+            assert_eq!(err.line, 3, "{store}: {err}");
+            assert!(err.message.contains("outside every pool"), "{err}");
+        }
+        // A store before its pool is registered is rejected too.
+        let err = from_log(&format!("STORE addr=0x300000000000 len=8\n{REG}")).unwrap_err();
+        assert_eq!(err.line, 1);
+    }
+
+    #[test]
+    fn registers_outside_the_pm_window_are_rejected() {
+        for reg in [
+            // A pool the explorer would otherwise allocate 2^60 bytes for.
+            "REGISTER pool=0 base=0x300000000000 size=1152921504606846976",
+            "REGISTER pool=0 base=0x3fffffffffc0 size=65",
+            "REGISTER pool=0 base=0x200000000000 size=64",
+            "REGISTER pool=0 base=0xffffffffffffffc0 size=64",
+            "REGISTER pool=0 base=0x300000000000 size=18446744073709551615",
+        ] {
+            let err = from_log(&format!("END\n{reg}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "{reg}: {err}");
+            assert!(err.message.contains("PM window"), "{err}");
+        }
+        assert!(from_log("REGISTER pool=0 base=0x3fffffffffc0 size=64\n").is_ok());
     }
 }

@@ -96,3 +96,50 @@ fn portable_log_format_drives_repair() {
         pmcheck::run_and_check(&m, pmapps::memcached::ENTRY, VmOptions::default()).unwrap();
     assert!(checked.report.is_clean(), "{}", checked.report.render());
 }
+
+#[test]
+fn every_corpus_log_round_trips_through_ingest_bounds() {
+    // The log parser rejects stores outside registered pools and pools
+    // outside the PM window; every trace the VM emits must still pass.
+    use pmapps::redis::{self, RedisBuild, RedisOp};
+    let window =
+        pmem_sim::layout::PM_BASE..pmem_sim::layout::PM_BASE + pmem_sim::layout::REGION_SPAN;
+    assert_eq!(pmtrace::log::PM_WINDOW, window);
+    let mut programs = vec![];
+    for bug in bugdb::corpus() {
+        let (m, entry) = match bug.target {
+            bugdb::Target::Pmdk => (minipmdk::build_buggy(bug.id), minipmdk::entry_for(bug.id)),
+            bugdb::Target::Pclht => (
+                pmapps::pclht::build_buggy(bug.id),
+                pmapps::pclht::ENTRY.to_string(),
+            ),
+            bugdb::Target::Memcached => (
+                pmapps::memcached::build_buggy(bug.id),
+                pmapps::memcached::ENTRY.to_string(),
+            ),
+        };
+        programs.push((bug.id.to_string(), m.unwrap(), entry));
+    }
+    programs.push((
+        "pclht-correct".into(),
+        pmapps::pclht::build_correct().unwrap(),
+        pmapps::pclht::ENTRY.into(),
+    ));
+    programs.push((
+        "memcached-correct".into(),
+        pmapps::memcached::build_correct().unwrap(),
+        pmapps::memcached::ENTRY.into(),
+    ));
+    let mut m = redis::build(RedisBuild::PmPort).unwrap();
+    let ops = [RedisOp::set(1, 64), RedisOp::set(2, 4096), RedisOp::get(1)];
+    let entry = redis::attach_workload(&mut m, "roundtrip", &ops);
+    programs.push(("redis-pmport".into(), m, entry));
+
+    for (name, m, entry) in programs {
+        let run = Vm::new(VmOptions::default()).run(&m, &entry).unwrap();
+        let trace = run.trace.unwrap();
+        let imported = pmtrace::log::from_log(&pmtrace::log::to_log(&trace))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(trace, imported, "{name}");
+    }
+}
