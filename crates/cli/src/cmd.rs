@@ -1397,7 +1397,7 @@ mod tests {
             "only {} stages: {stages:?}",
             stages.len()
         );
-        for stage in ["cli", "repair", "explore", "vm", "check", "trace"] {
+        for stage in ["cli", "repair", "explore", "vm", "check", "tx"] {
             assert!(
                 stages.contains(stage),
                 "missing stage `{stage}`: {stages:?}"

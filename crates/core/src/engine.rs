@@ -903,12 +903,6 @@ impl Hippocrates {
 
         loop {
             if report.is_clean() {
-                if obs.is_enabled() && !trace.is_empty() {
-                    // Telemetry-only audit: exercise the portable-log
-                    // roundtrip once so the trace-ingest stage reports its
-                    // cost for this module. Never runs with obs disabled.
-                    let _ = pmtrace::log::from_log_obs(&pmtrace::log::to_log(&trace), &obs);
-                }
                 drain_injected(&injector, &mut diagnostics);
                 let optimized = self.optimize_after_clean(m, entry, &mut diagnostics);
                 return Ok(RepairOutcome {

@@ -44,7 +44,6 @@ pub mod engine;
 pub mod heuristic;
 pub mod locate;
 pub mod options;
-pub mod perf;
 pub mod plan;
 pub mod summary;
 

@@ -327,29 +327,6 @@ impl Client {
             other => Err(format!("unexpected response to Shutdown: {other:?}")),
         }
     }
-
-    /// Waits for every non-terminal job to settle — used before asserting
-    /// on a drained daemon.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport errors and when `timeout` elapses first.
-    pub fn wait_idle(&mut self, timeout: Duration) -> Result<Health, String> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let h = self.health()?;
-            if h.queued == 0 && h.running == 0 {
-                return Ok(h);
-            }
-            if Instant::now() >= deadline {
-                return Err(format!(
-                    "daemon still busy after {timeout:?}: {} queued, {} running",
-                    h.queued, h.running
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
 }
 
 /// Splits `s` into pieces of at most `max` bytes, never inside a UTF-8

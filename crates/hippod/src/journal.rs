@@ -28,9 +28,11 @@
 //! **Resume rule:** on restart, every `Submitted` without a matching
 //! `Finished` re-enters the queue in submission order (sharded campaigns
 //! re-enter with their journaled `ShardFinished` results pre-seeded);
-//! every `Finished` job serves its journaled result directly. Job and
-//! shard execution are deterministic in the spec, so a re-run of an
-//! interrupted job commits the same result the killed run would have.
+//! every `Finished` job serves its journaled result directly ([`replay`]).
+//! A `Submitted` for an id already seen is a duplicated line and is
+//! ignored. Job and shard execution are deterministic in the spec, so a
+//! re-run of an interrupted job commits the same result the killed run
+//! would have.
 //!
 //! **Epoch fencing.** A deposed primary must never corrupt its
 //! successor's journal. The log refuses any append through a handle whose
@@ -46,10 +48,11 @@
 //! not parse as an event, is refused. A second daemon on the same journal
 //! is refused with the holder's pid instead of interleaving appends.
 
-use crate::jobs::{JobSpec, JobView, ShardDone};
+use crate::jobs::{JobSpec, JobState, JobView, ShardDone};
 use pmtx::log::{Header, Log};
 use pmtx::JournalError;
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
 /// The journal's schema tag, checked on resume.
@@ -317,6 +320,87 @@ pub fn compact_events(events: &[JobEvent]) -> (Vec<JobEvent>, u64) {
     }
     let dropped = events.len().saturating_sub(kept.len()) as u64;
     (kept, dropped)
+}
+
+/// The resume state a journal's events reconstruct.
+#[derive(Debug, Default, PartialEq)]
+pub struct Replayed {
+    /// Every submitted job: queued until its `Finished`, then terminal.
+    pub(crate) jobs: BTreeMap<String, JobView>,
+    /// The spec of every submitted job.
+    pub(crate) specs: HashMap<String, JobSpec>,
+    /// Unfinished jobs, in submission order.
+    pub(crate) pending: Vec<String>,
+    /// The highest `job-N` id submitted.
+    pub(crate) max_id: u64,
+    /// Pending campaigns' committed shard results (first commit wins).
+    pub(crate) shard_results: HashMap<String, BTreeMap<u64, ShardDone>>,
+    /// Pending campaigns' quarantined shards: shard → (attempts, reason).
+    pub(crate) shard_quarantined: HashMap<String, BTreeMap<u64, (u32, String)>>,
+}
+
+/// Replays events into the resume state. A `Submitted` counts only for an
+/// id not seen before: a duplicated line is checksum-valid, and taking it
+/// again would queue (or re-open) the job twice.
+pub fn replay(events: Vec<JobEvent>) -> Replayed {
+    let mut r = Replayed::default();
+    for ev in events {
+        match ev {
+            JobEvent::Submitted { id, spec } => {
+                if r.jobs.contains_key(&id) {
+                    continue;
+                }
+                if let Some(n) = id.strip_prefix("job-").and_then(|n| n.parse().ok()) {
+                    r.max_id = r.max_id.max(n);
+                }
+                r.jobs.insert(
+                    id.clone(),
+                    JobView {
+                        id: id.clone(),
+                        kind: spec.kind,
+                        state: JobState::Queued,
+                        error: None,
+                        result: None,
+                    },
+                );
+                r.specs.insert(id.clone(), spec);
+                r.pending.push(id);
+            }
+            JobEvent::Finished { view } => {
+                r.pending.retain(|p| p != &view.id);
+                r.shard_results.remove(&view.id);
+                r.shard_quarantined.remove(&view.id);
+                r.jobs.insert(view.id.clone(), view);
+            }
+            JobEvent::ShardFinished { job, shard, result } => {
+                r.shard_results
+                    .entry(job)
+                    .or_default()
+                    .entry(shard)
+                    .or_insert(result);
+            }
+            JobEvent::ShardQuarantined {
+                job,
+                shard,
+                attempts,
+                reason,
+            } => {
+                r.shard_quarantined
+                    .entry(job)
+                    .or_default()
+                    .insert(shard, (attempts, reason));
+            }
+            // The epoch is tracked by the journal handle itself; lease
+            // grant/renew/reclaim history and compaction checkpoints do
+            // not affect the resume state.
+            JobEvent::Epoch { .. }
+            | JobEvent::LeaseAcquired { .. }
+            | JobEvent::LeaseRenewed { .. }
+            | JobEvent::LeaseReclaimed { .. }
+            | JobEvent::Compacted { .. } => {}
+        }
+    }
+    r
 }
 
 /// Reads a journal's events without taking the lock — the audit path used

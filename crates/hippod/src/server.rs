@@ -31,7 +31,7 @@
 use crate::jobs::{
     execute, execute_shard, job_digest, JobResult, JobSpec, JobState, JobView, ShardDone,
 };
-use crate::journal::{is_fenced, JobEvent, JobJournal};
+use crate::journal::{is_fenced, replay, JobEvent, JobJournal, Replayed};
 use crate::proto::{
     read_frame_idle, write_frame, FrameIn, Health, Request, RequestFrame, Response, ResponseFrame,
     JOBS_SCHEMA, JOBS_SCHEMA_V1,
@@ -308,79 +308,6 @@ impl State {
             self.cache.store_blob(digest, s, &self.obs);
         }
     }
-}
-
-/// What a journal replay reconstructs.
-#[derive(Default)]
-struct Replayed {
-    jobs: BTreeMap<String, JobView>,
-    specs: HashMap<String, JobSpec>,
-    pending: Vec<String>,
-    max_id: u64,
-    /// Committed shard results of still-pending campaigns (first commit
-    /// per shard wins), to pre-seed their lease tables on resume.
-    shard_results: HashMap<String, BTreeMap<u64, ShardDone>>,
-    /// Quarantined shards of still-pending campaigns: shard →
-    /// (attempts, reason).
-    shard_quarantined: HashMap<String, BTreeMap<u64, (u32, String)>>,
-}
-
-fn replay(events: Vec<JobEvent>) -> Replayed {
-    let mut r = Replayed::default();
-    for ev in events {
-        match ev {
-            JobEvent::Submitted { id, spec } => {
-                if let Some(n) = id.strip_prefix("job-").and_then(|n| n.parse().ok()) {
-                    r.max_id = r.max_id.max(n);
-                }
-                r.jobs.insert(
-                    id.clone(),
-                    JobView {
-                        id: id.clone(),
-                        kind: spec.kind,
-                        state: JobState::Queued,
-                        error: None,
-                        result: None,
-                    },
-                );
-                r.specs.insert(id.clone(), spec);
-                r.pending.push(id);
-            }
-            JobEvent::Finished { view } => {
-                r.pending.retain(|p| p != &view.id);
-                r.shard_results.remove(&view.id);
-                r.shard_quarantined.remove(&view.id);
-                r.jobs.insert(view.id.clone(), view);
-            }
-            JobEvent::ShardFinished { job, shard, result } => {
-                r.shard_results
-                    .entry(job)
-                    .or_default()
-                    .entry(shard)
-                    .or_insert(result);
-            }
-            JobEvent::ShardQuarantined {
-                job,
-                shard,
-                attempts,
-                reason,
-            } => {
-                r.shard_quarantined
-                    .entry(job)
-                    .or_default()
-                    .insert(shard, (attempts, reason));
-            }
-            // The epoch is tracked by the journal handle itself; lease
-            // grant/renew/reclaim history and compaction checkpoints do
-            // not affect the resume state.
-            JobEvent::Epoch { .. }
-            | JobEvent::LeaseAcquired { .. }
-            | JobEvent::LeaseRenewed { .. }
-            | JobEvent::LeaseReclaimed { .. }
-            | JobEvent::Compacted { .. } => {}
-        }
-    }
-    r
 }
 
 /// Seeds the whole-result blob cache from replayed terminal jobs: a

@@ -109,7 +109,7 @@ impl Listener {
     pub fn accept(&self) -> std::io::Result<Conn> {
         match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| tcp(s)),
         }
     }
 
@@ -125,6 +125,14 @@ impl Listener {
             Listener::Tcp(l) => l.local_addr().map(|a| a.to_string()).unwrap_or_default(),
         }
     }
+}
+
+/// Frames are small request/response exchanges written as a length
+/// prefix and a payload: with Nagle's algorithm on, the payload waits for
+/// the peer's delayed ACK of the prefix (about 40 ms per frame on Linux).
+fn tcp(s: TcpStream) -> std::io::Result<Conn> {
+    s.set_nodelay(true)?;
+    Ok(Conn::Tcp(s))
 }
 
 /// One accepted or dialed connection on either carrier.
@@ -145,7 +153,7 @@ impl Conn {
                 .map(Conn::Unix)
                 .map_err(|e| format!("{}: connect: {e} (is the daemon serving?)", path.display())),
             Endpoint::Tcp(addr) => TcpStream::connect(addr)
-                .map(Conn::Tcp)
+                .and_then(tcp)
                 .map_err(|e| format!("{addr}: connect: {e} (is the daemon serving?)")),
         }
     }
@@ -258,5 +266,18 @@ mod tests {
         let c = Conn::dial(&Endpoint::parse(&addr)).unwrap();
         c.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
         drop(c);
+    }
+
+    #[test]
+    fn tcp_connections_send_without_nagle_delay() {
+        let l = Listener::bind(&Endpoint::parse("127.0.0.1:0")).unwrap();
+        let dialed = Conn::dial(&Endpoint::parse(&l.local_addr())).unwrap();
+        let accepted = l.accept().unwrap();
+        for c in [dialed, accepted] {
+            let Conn::Tcp(s) = c else {
+                panic!("a TCP endpoint yields a TCP connection")
+            };
+            assert!(s.nodelay().unwrap());
+        }
     }
 }

@@ -8,12 +8,15 @@
 //! - With any one byte flipped, a log never opens to an altered record: it
 //!   is refused naming a line no later than the damaged one, or — damage in
 //!   the final line only — opens to exactly the records before it.
+//! - With any one record line duplicated in place, in every prefix of the
+//!   log, a journal opens to the same state as without the copy, or is
+//!   refused naming the copy's line.
 //! - The checked-in fixtures were written by the previous journal
 //!   implementations. Both replay unchanged, and the same appends today
 //!   reproduce their bytes exactly.
 
 use hippod::jobs::ShardDone;
-use hippod::journal::{JobEvent, JobJournal, JobJournalHeader, JOBS_JOURNAL_SCHEMA};
+use hippod::journal::{replay, JobEvent, JobJournal, JobJournalHeader, JOBS_JOURNAL_SCHEMA};
 use hippod::{JobKind, JobResult, JobSpec, JobState, JobView};
 use pmtx::log::{Header, Log};
 use pmtx::{Journal, JournalError, JournalHeader, RoundRecord};
@@ -246,6 +249,35 @@ where
     }
 }
 
+/// A duplicated line is checksum-valid, so only the journal's own rules
+/// can see it. Line `i + 1` holds record `i` (line 1 is the header); the
+/// copy is inserted right after it, as line `i + 2`, in every prefix of
+/// `bytes` that holds the record.
+fn duplication_property<S: PartialEq + Debug>(
+    tag: &str,
+    bytes: &[u8],
+    open: impl Fn(&Path) -> Result<S, usize>,
+) {
+    let path = scratch(tag);
+    let ends = line_ends(bytes);
+    for kept in 1..ends.len() {
+        std::fs::write(&path, &bytes[..ends[kept]]).unwrap();
+        let want = open(&path).unwrap_or_else(|line| panic!("{tag}: prefix refused at {line}"));
+        for record in 1..=kept {
+            let line = &bytes[ends[record - 1]..ends[record]];
+            let mut doubled = bytes[..ends[record]].to_vec();
+            doubled.extend_from_slice(line);
+            doubled.extend_from_slice(&bytes[ends[record]..ends[kept]]);
+            std::fs::write(&path, &doubled).unwrap();
+            let what = format!("{tag}: record {record} of {kept} duplicated");
+            match open(&path) {
+                Ok(state) => assert_eq!(state, want, "{what}"),
+                Err(refused) => assert_eq!(refused, record + 2, "{what}: refused line"),
+            }
+        }
+    }
+}
+
 #[test]
 fn repair_rounds_survive_every_truncation() {
     let bytes = fixture(REPAIR_FIXTURE);
@@ -268,6 +300,27 @@ fn repair_rounds_are_never_altered_by_a_flipped_byte() {
 fn job_events_are_never_altered_by_a_flipped_byte() {
     let bytes = fixture(JOBS_FIXTURE);
     flip_property("jobs-flip", &bytes, &jobs_header(), &job_events());
+}
+
+#[test]
+fn a_duplicated_repair_round_is_refused_naming_its_line() {
+    let bytes = fixture(REPAIR_FIXTURE);
+    duplication_property("repair-dup", &bytes, |path| {
+        match Journal::resume(path, &repair_header()) {
+            Ok(resumed) => Ok(resumed.journal.rounds().to_vec()),
+            Err(JournalError::Corrupted { line, .. }) => Err(line),
+            Err(other) => panic!("{}: unexpected {other}", path.display()),
+        }
+    });
+}
+
+#[test]
+fn a_duplicated_job_event_replays_to_the_same_state() {
+    let bytes = fixture(JOBS_FIXTURE);
+    duplication_property("jobs-dup", &bytes, |path| {
+        let (journal, events) = JobJournal::open(path).unwrap();
+        Ok::<_, usize>((journal.epoch(), replay(events)))
+    });
 }
 
 #[test]

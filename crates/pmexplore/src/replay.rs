@@ -247,11 +247,6 @@ impl<'t> Replayer<'t> {
         self.pending.generation()
     }
 
-    /// Whether `line` is pending at the current position.
-    pub fn is_pending(&self, line: u64) -> bool {
-        self.pending.contains(line)
-    }
-
     /// The content hash of the crash image [`Replayer::image_with`] would
     /// build for `persisted` — computed in O(|persisted|) line terms from
     /// the rolling durable hash, **without materializing the image**. Equal

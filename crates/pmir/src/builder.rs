@@ -82,11 +82,6 @@ impl<'m> FunctionBuilder<'m> {
         self.cur_loc = Some(loc);
     }
 
-    /// Clears the current source location.
-    pub fn clear_loc(&mut self) {
-        self.cur_loc = None;
-    }
-
     /// The [`ValueId`] of argument `n`.
     ///
     /// # Panics

@@ -1,6 +1,6 @@
 //! Functions, basic blocks, and virtual values.
 
-use crate::inst::{Inst, Op};
+use crate::inst::Inst;
 use crate::types::Type;
 use serde::{Deserialize, Serialize};
 
@@ -263,19 +263,12 @@ impl Function {
             }
         })
     }
-
-    /// All call instructions currently linked, as `(block, inst)` pairs.
-    pub fn call_sites(&self) -> Vec<(BlockId, InstId)> {
-        self.linked_insts()
-            .filter(|&(_, i)| matches!(self.inst(i).op, Op::Call { .. }))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::Operand;
+    use crate::inst::{Op, Operand};
 
     #[test]
     fn new_function_has_entry_and_args() {

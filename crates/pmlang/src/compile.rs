@@ -1,7 +1,7 @@
 //! The compiler driver: multi-source "linking", attribute filtering, and the
 //! public entry points.
 
-use crate::ast::{Block, FnDecl, Stmt, StmtKind};
+use crate::ast::{Block, FnDecl, StmtKind};
 use crate::error::LangError;
 use crate::lexer::tokenize;
 use crate::lower::{lower_fn, signatures, Signature};
@@ -193,16 +193,6 @@ pub fn tags_in_source(name: &str, text: &str) -> Result<HashSet<String>, LangErr
     let toks = tokenize(name, text)?;
     let fns = parse(name, toks)?;
     Ok(collect_tags(&fns))
-}
-
-/// Helper used by filtering-aware statements tests: whether a statement
-/// survives the given elide/feature sets.
-pub fn stmt_survives(s: &Stmt, elide: &HashSet<String>, features: &HashSet<String>) -> bool {
-    !s.tags.iter().any(|t| elide.contains(t))
-        && s.when
-            .as_ref()
-            .map(|w| features.contains(w))
-            .unwrap_or(true)
 }
 
 #[cfg(test)]

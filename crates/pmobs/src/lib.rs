@@ -3,11 +3,11 @@
 //! JSON schema that `hippoctl --metrics`, CI bench artifacts, and the
 //! bench-regression gate all speak.
 //!
-//! # Zero dependencies, zero disabled cost
+//! # Zero disabled cost
 //!
-//! The crate depends on nothing (its JSON emitter and parser are
-//! hand-rolled in [`json`]), and a disabled [`Obs`] handle — the
-//! `Default` — reduces every recording call to a single `Option` branch.
+//! A disabled [`Obs`] handle — the `Default` — reduces every recording
+//! call to a single `Option` branch. The schema is read and written with
+//! the workspace's one JSON codec, `serde_json`.
 //! Pipeline crates thread an `Obs` through their options structs
 //! (`VmOptions::obs`, `ExploreOptions::obs`, `RepairOptions::obs`, …) and
 //! never pay for instrumentation unless a registry is attached.
@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod registry;
 pub mod snapshot;
 

@@ -26,7 +26,7 @@
 //! holds observations `v` with `2^i <= v < 2^(i+1)` (values below 1 land
 //! in bucket 0).
 
-use crate::json::{self, Value};
+use serde::{Deserialize, Value};
 use std::collections::BTreeMap;
 
 /// The schema identifier emitted and required by this version.
@@ -137,93 +137,114 @@ fn bad(message: impl Into<String>) -> SchemaError {
     }
 }
 
+/// Compact JSON for one value. The vendored serializer has no failure path.
+fn json<T: serde::Serialize + ?Sized>(v: &T) -> String {
+    serde_json::to_string(v).unwrap_or_default()
+}
+
+/// A JSON object; the caller lists the fields in key order.
+fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Map(
+        fields
+            .into_iter()
+            .map(|(k, v)| (Value::Str(k.to_string()), v))
+            .collect(),
+    )
+}
+
+/// The value under `key` when `v` is an object that has it; of repeated
+/// keys the last one counts.
+fn get<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
+    v.as_map()?
+        .iter()
+        .rev()
+        .find(|(k, _)| k.as_str() == Some(key))
+        .map(|(_, v)| v)
+}
+
+/// The entries of the object under `key`, or the schema error naming it.
+fn entries<'a>(
+    v: &'a Value,
+    key: &str,
+) -> Result<impl Iterator<Item = (&'a str, &'a Value)>, SchemaError> {
+    let m = get(v, key)
+        .and_then(Value::as_map)
+        .ok_or_else(|| bad(format!("`{key}` must be an object")))?;
+    Ok(m.iter().filter_map(|(k, v)| Some((k.as_str()?, v))))
+}
+
+/// A number as a `u64`, accepting integral floats.
+fn as_u64(v: &Value) -> Option<u64> {
+    match *v {
+        Value::U64(n) => Some(n),
+        Value::I64(n) => u64::try_from(n).ok(),
+        Value::F64(f) if f.fract() == 0.0 && f >= 0.0 && f <= u64::MAX as f64 => Some(f as u64),
+        _ => None,
+    }
+}
+
+/// A number as an `f64`.
+fn as_f64(v: &Value) -> Option<f64> {
+    f64::from_value(v).ok()
+}
+
 impl Snapshot {
     /// Serializes to the stable schema, pretty enough for humans (one
     /// top-level key per line) while staying deterministic.
     pub fn to_json(&self) -> String {
-        let mut root = BTreeMap::new();
-        root.insert("schema".to_string(), Value::Str(SCHEMA.to_string()));
-        root.insert(
-            "spans".to_string(),
-            Value::Arr(
-                self.spans
-                    .iter()
-                    .map(|s| {
-                        let mut m = BTreeMap::new();
-                        m.insert("id".to_string(), Value::UInt(s.id));
-                        m.insert(
-                            "parent".to_string(),
-                            s.parent.map_or(Value::Null, Value::UInt),
-                        );
-                        m.insert("name".to_string(), Value::Str(s.name.clone()));
-                        m.insert("start_us".to_string(), Value::UInt(s.start_us));
-                        m.insert("dur_us".to_string(), Value::UInt(s.dur_us));
-                        Value::Obj(m)
-                    })
-                    .collect(),
-            ),
+        let u = Value::U64;
+        let spans = Value::Seq(
+            self.spans
+                .iter()
+                .map(|s| {
+                    object([
+                        ("dur_us", u(s.dur_us)),
+                        ("id", u(s.id)),
+                        ("name", Value::Str(s.name.clone())),
+                        ("parent", s.parent.map_or(Value::Null, u)),
+                        ("start_us", u(s.start_us)),
+                    ])
+                })
+                .collect(),
         );
-        root.insert(
-            "counters".to_string(),
-            Value::Obj(
-                self.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                    .collect(),
+        let histograms = self.histograms.iter().map(|(k, h)| {
+            let buckets = h
+                .buckets
+                .iter()
+                .map(|&(i, c)| Value::Seq(vec![u(i.into()), u(c)]))
+                .collect();
+            let fields = object([
+                ("buckets", Value::Seq(buckets)),
+                ("count", u(h.count)),
+                ("max", Value::F64(h.max)),
+                ("min", Value::F64(h.min)),
+                ("sum", Value::F64(h.sum)),
+            ]);
+            (k.as_str(), fields)
+        });
+        let rows = [
+            ("schema", Value::Str(SCHEMA.to_string())),
+            ("spans", spans),
+            (
+                "counters",
+                object(self.counters.iter().map(|(k, &c)| (k.as_str(), u(c)))),
             ),
-        );
-        root.insert(
-            "gauges".to_string(),
-            Value::Obj(
-                self.gauges
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::Num(*v)))
-                    .collect(),
+            (
+                "gauges",
+                object(
+                    self.gauges
+                        .iter()
+                        .map(|(k, &g)| (k.as_str(), Value::F64(g))),
+                ),
             ),
-        );
-        root.insert(
-            "histograms".to_string(),
-            Value::Obj(
-                self.histograms
-                    .iter()
-                    .map(|(k, h)| {
-                        let mut m = BTreeMap::new();
-                        m.insert("count".to_string(), Value::UInt(h.count));
-                        m.insert("sum".to_string(), Value::Num(h.sum));
-                        m.insert("min".to_string(), Value::Num(h.min));
-                        m.insert("max".to_string(), Value::Num(h.max));
-                        m.insert(
-                            "buckets".to_string(),
-                            Value::Arr(
-                                h.buckets
-                                    .iter()
-                                    .map(|&(i, c)| {
-                                        Value::Arr(vec![Value::UInt(u64::from(i)), Value::UInt(c)])
-                                    })
-                                    .collect(),
-                            ),
-                        );
-                        (k.clone(), Value::Obj(m))
-                    })
-                    .collect(),
-            ),
-        );
+            ("histograms", object(histograms)),
+        ];
         // One top-level key per line: big files stay diffable.
-        let mut out = String::from("{\n");
-        for (i, key) in ["schema", "spans", "counters", "gauges", "histograms"]
+        let rows: Vec<String> = rows
             .iter()
-            .enumerate()
-        {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("  ");
-            out.push_str(&Value::Str((*key).to_string()).to_json());
-            out.push_str(": ");
-            out.push_str(&root[*key].to_json());
-        }
-        out.push_str("\n}\n");
-        out
+            .map(|(key, v)| format!("  {}: {}", json(*key), json(v)))
+            .collect();
+        format!("{{\n{}\n}}\n", rows.join(",\n"))
     }
 
     /// Parses a snapshot from its JSON form.
@@ -233,36 +254,32 @@ impl Snapshot {
     /// Fails on malformed JSON, a missing/mismatched `schema` tag, or any
     /// field of the wrong shape.
     pub fn from_json(text: &str) -> Result<Snapshot, SchemaError> {
-        let v = json::parse(text).map_err(|e| bad(e.to_string()))?;
-        let schema = v
-            .get("schema")
+        let v: Value = serde_json::from_str(text).map_err(|e| bad(e.to_string()))?;
+        let schema = get(&v, "schema")
             .and_then(Value::as_str)
             .ok_or_else(|| bad("missing `schema` tag"))?;
         if schema != SCHEMA {
             return Err(bad(format!("unsupported schema `{schema}`")));
         }
         let mut snap = Snapshot::default();
-        for sv in v
-            .get("spans")
-            .and_then(Value::as_arr)
+        for sv in get(&v, "spans")
+            .and_then(Value::as_seq)
             .ok_or_else(|| bad("`spans` must be an array"))?
         {
             let field_u64 = |k: &str| {
-                sv.get(k)
-                    .and_then(Value::as_u64)
+                get(sv, k)
+                    .and_then(as_u64)
                     .ok_or_else(|| bad(format!("span field `{k}` must be a u64")))
             };
             snap.spans.push(SpanRec {
                 id: field_u64("id")?,
-                parent: match sv.get("parent") {
+                parent: match get(sv, "parent") {
                     None | Some(Value::Null) => None,
-                    Some(p) => Some(
-                        p.as_u64()
-                            .ok_or_else(|| bad("span `parent` must be null or a u64"))?,
-                    ),
+                    Some(p) => {
+                        Some(as_u64(p).ok_or_else(|| bad("span `parent` must be null or a u64"))?)
+                    }
                 },
-                name: sv
-                    .get("name")
+                name: get(sv, "name")
                     .and_then(Value::as_str)
                     .ok_or_else(|| bad("span `name` must be a string"))?
                     .to_string(),
@@ -270,67 +287,45 @@ impl Snapshot {
                 dur_us: field_u64("dur_us")?,
             });
         }
-        for (k, cv) in v
-            .get("counters")
-            .and_then(Value::as_obj)
-            .ok_or_else(|| bad("`counters` must be an object"))?
-        {
-            snap.counters.insert(
-                k.clone(),
-                cv.as_u64()
-                    .ok_or_else(|| bad(format!("counter `{k}` must be a u64")))?,
-            );
+        for (k, cv) in entries(&v, "counters")? {
+            let c = as_u64(cv).ok_or_else(|| bad(format!("counter `{k}` must be a u64")))?;
+            snap.counters.insert(k.to_string(), c);
         }
-        for (k, gv) in v
-            .get("gauges")
-            .and_then(Value::as_obj)
-            .ok_or_else(|| bad("`gauges` must be an object"))?
-        {
-            snap.gauges.insert(
-                k.clone(),
-                gv.as_f64()
-                    .ok_or_else(|| bad(format!("gauge `{k}` must be a number")))?,
-            );
+        for (k, gv) in entries(&v, "gauges")? {
+            let g = as_f64(gv).ok_or_else(|| bad(format!("gauge `{k}` must be a number")))?;
+            snap.gauges.insert(k.to_string(), g);
         }
-        for (k, hv) in v
-            .get("histograms")
-            .and_then(Value::as_obj)
-            .ok_or_else(|| bad("`histograms` must be an object"))?
-        {
+        for (k, hv) in entries(&v, "histograms")? {
             let num = |f: &str| {
-                hv.get(f)
-                    .and_then(Value::as_f64)
+                get(hv, f)
+                    .and_then(as_f64)
                     .ok_or_else(|| bad(format!("histogram `{k}.{f}` must be a number")))
             };
             let mut h = Hist {
-                count: hv
-                    .get("count")
-                    .and_then(Value::as_u64)
+                count: get(hv, "count")
+                    .and_then(as_u64)
                     .ok_or_else(|| bad(format!("histogram `{k}.count` must be a u64")))?,
                 sum: num("sum")?,
                 min: num("min")?,
                 max: num("max")?,
                 buckets: vec![],
             };
-            for b in hv
-                .get("buckets")
-                .and_then(Value::as_arr)
+            for b in get(hv, "buckets")
+                .and_then(Value::as_seq)
                 .ok_or_else(|| bad(format!("histogram `{k}.buckets` must be an array")))?
             {
                 let pair = b
-                    .as_arr()
+                    .as_seq()
                     .filter(|p| p.len() == 2)
                     .ok_or_else(|| bad(format!("histogram `{k}` bucket must be a pair")))?;
-                let idx = pair[0]
-                    .as_u64()
+                let idx = as_u64(&pair[0])
                     .filter(|&i| i < HIST_BUCKETS as u64)
                     .ok_or_else(|| bad(format!("histogram `{k}` bucket index out of range")))?;
-                let cnt = pair[1]
-                    .as_u64()
+                let cnt = as_u64(&pair[1])
                     .ok_or_else(|| bad(format!("histogram `{k}` bucket count must be a u64")))?;
                 h.buckets.push((idx as u8, cnt));
             }
-            snap.histograms.insert(k.clone(), h);
+            snap.histograms.insert(k.to_string(), h);
         }
         Ok(snap)
     }

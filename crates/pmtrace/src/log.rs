@@ -409,6 +409,21 @@ mod tests {
     }
 
     #[test]
+    fn ingest_reports_its_span_and_counters() {
+        let obs = pmobs::Obs::enabled();
+        let log = to_log(&sample());
+        assert_eq!(from_log_obs(&log, &obs).unwrap(), sample());
+        assert!(from_log_obs("END\nBOGUS\n", &obs).is_err());
+        let snap = obs.snapshot();
+        let ingests = snap.spans.iter().filter(|s| s.name == "trace.ingest");
+        assert_eq!(ingests.count(), 2, "{:?}", snap.spans);
+        let bytes = (log.len() + "END\nBOGUS\n".len()) as u64;
+        assert_eq!(snap.counters["trace.ingest.bytes"], bytes);
+        assert_eq!(snap.counters["trace.ingest.events"], sample().len() as u64);
+        assert_eq!(snap.counters["trace.ingest.parse_errors"], 1);
+    }
+
+    #[test]
     fn comments_and_blanks_skipped() {
         let log = "# a foreign tool's header\n\nCRASHPOINT\nEND\n";
         let t = from_log(log).unwrap();

@@ -315,11 +315,6 @@ impl LeaseTable {
         self.attempts.get(&shard).copied().unwrap_or(0)
     }
 
-    /// Committed shard count.
-    pub fn done_count(&self) -> u64 {
-        self.done.len() as u64
-    }
-
     /// Quarantined shard numbers, ascending.
     pub fn quarantined(&self) -> Vec<u64> {
         self.quarantined.keys().copied().collect()

@@ -31,9 +31,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo clippy (lib targets) -- -D clippy::unwrap_used on the input paths"
 # The trace-ingest, checker, repair-engine, PM-simulator and explorer
-# crates must never unwrap on their production paths: corrupted inputs are
-# routed into the error taxonomy.
-cargo clippy -p pmtrace -p pmcheck -p hippocrates -p pmem-sim -p pmexplore --no-deps -- -D clippy::unwrap_used
+# crates, and the metrics and journal readers, must never unwrap on their
+# production paths: corrupted inputs are routed into the error taxonomy.
+cargo clippy -p pmtrace -p pmcheck -p hippocrates -p pmem-sim -p pmexplore -p pmobs -p pmtx --no-deps -- -D clippy::unwrap_used
 
 echo "==> hippoctl lint --deny warnings examples/"
 target/release/hippoctl lint --deny warnings examples/
