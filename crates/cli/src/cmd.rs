@@ -79,8 +79,6 @@ fn usage() -> String {
         "hippoctl explore <src>... [--entry NAME]         crash-state exploration: boot the",
         "                 [--jobs N] [--budget K]           recovery oracle on sampled crash",
         "                 [--seed S] [--recover FN]         states; report inconsistencies",
-        "                 [--tier fast|interp]               execution tier (tiers are",
-        "                                                    result-identical; fast is default)",
         "hippoctl fix     <src>... [--entry NAME] [-o F]  repair; write fixed IR",
         "                 [--intra-only] [--trace-aa] [--portable]",
         "                 [--bug-source dynamic|static|both|exploration]",
@@ -92,8 +90,6 @@ fn usage() -> String {
         "                 [--show-quarantine]                print the quarantine ledger",
         "                 [--optimize]                       after a clean repair, strip",
         "                                                    redundant flushes/fences",
-        "                 [--tier fast|interp]               execution tier for detection/",
-        "                                                    verification runs",
         "hippoctl optimize <src>... [--entry NAME] [-o F] strip provably-redundant flushes",
         "                 [--jobs N] [--budget K] [--seed S]  and sinkable fences; each removal",
         "                                                     is re-verified or rolled back",
@@ -159,7 +155,6 @@ struct Opts {
     deadline_ms: Option<u64>,
     step_quota: Option<u64>,
     crash_after_commit: Option<u32>,
-    tier: pmvm::ExecTier,
 }
 
 fn parse(args: &[String]) -> Result<Opts, String> {
@@ -187,7 +182,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
         deadline_ms: None,
         step_quota: None,
         crash_after_commit: None,
-        tier: pmvm::ExecTier::default(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -248,11 +242,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             }
             "--recover" => {
                 o.recover = Some(it.next().ok_or("--recover needs a value")?.clone());
-            }
-            "--tier" => {
-                let v = it.next().ok_or("--tier needs a value")?;
-                o.tier = pmvm::ExecTier::parse(v)
-                    .ok_or_else(|| format!("--tier supports fast|interp, got `{v}`"))?;
             }
             "--metrics" => {
                 o.metrics = Some(it.next().ok_or("--metrics needs a value")?.clone());
@@ -640,7 +629,6 @@ fn explore_cmd(args: &[String], obs: &pmobs::Obs) -> Result<(), String> {
         jobs: o.jobs,
         oracle: o.recover.as_deref().map(pmexplore::Oracle::returns_zero),
         obs: obs.clone(),
-        tier: o.tier,
         ..pmexplore::ExploreOptions::default()
     };
     let x = pmexplore::run_and_explore(&m, &o.entry, &opts).map_err(|e| e.to_string())?;
@@ -679,7 +667,6 @@ fn fix_cmd(args: &[String], obs: &pmobs::Obs) -> Result<(), String> {
         crash_after_commit: o.crash_after_commit,
         optimize_after: o.optimize,
         obs: obs.clone(),
-        tier: o.tier,
         ..RepairOptions::default()
     };
     let outcome = match Hippocrates::new(opts).repair_until_clean(&mut m, &o.entry) {
@@ -753,8 +740,6 @@ fn optimize_cmd(args: &[String], obs: &pmobs::Obs) -> Result<(), String> {
         explore_seed: o.seed,
         explore_jobs: o.jobs,
         obs: obs.clone(),
-        tier: o.tier,
-        ..pmredund::OptimizeOptions::default()
     };
     let out = pmredund::optimize_module(&mut m, &opts).map_err(|e| e.to_string())?;
     for a in &out.applied {
@@ -1001,34 +986,6 @@ mod tests {
     fn parse_rejects_unknown_flags_and_empty() {
         assert!(parse(&["--bogus".to_string()]).is_err());
         assert!(parse(&[]).is_err());
-    }
-
-    #[test]
-    fn parse_tier() {
-        let args: Vec<String> = ["a.pmc", "--tier", "interp"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = parse(&args).unwrap();
-        assert_eq!(o.tier, pmvm::ExecTier::Interp);
-        let args: Vec<String> = ["a.pmc", "--tier", "fast"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse(&args).unwrap().tier, pmvm::ExecTier::Fast);
-        // The default is the fast tier; bad spellings are rejected with
-        // the supported set in the message.
-        let o = parse(&["a.pmc".to_string()]).unwrap();
-        assert_eq!(o.tier, pmvm::ExecTier::Fast);
-        let err = match parse(&[
-            "a.pmc".to_string(),
-            "--tier".to_string(),
-            "warp".to_string(),
-        ]) {
-            Err(e) => e,
-            Ok(_) => panic!("`--tier warp` must be rejected"),
-        };
-        assert!(err.contains("fast|interp"), "{err}");
     }
 
     #[test]

@@ -17,6 +17,21 @@ use pmvm::{VmError, VmOptions};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
+/// Base delay and cap, in milliseconds, of the seeded exponential backoff
+/// between retries. The cap is small so degraded runs stay fast.
+const RETRY_BASE_MS: u64 = 1;
+const RETRY_CAP_MS: u64 = 8;
+
+/// Sleeps the backoff before `attempt`, seeded so a degraded run's
+/// schedule is reproducible. The first attempt (0) does not wait.
+fn retry_pause(seed: u64, attempt: u32) {
+    if attempt == 0 {
+        return;
+    }
+    let ms = pmfault::backoff_ms(seed, attempt - 1, RETRY_BASE_MS, RETRY_CAP_MS);
+    std::thread::sleep(std::time::Duration::from_millis(ms));
+}
+
 /// The Hippocrates repair engine. See the [crate docs](crate) for the
 /// pipeline description.
 #[derive(Debug, Clone)]
@@ -359,7 +374,6 @@ impl Hippocrates {
             watchdog_ms: self.effective_watchdog(budget),
             fault: self.opts.fault.clone(),
             obs: self.opts.obs.clone(),
-            tier: self.opts.tier,
             ..VmOptions::default()
         }
     }
@@ -382,15 +396,7 @@ impl Hippocrates {
             .map_or(self.opts.explore_seed, |p| p.seed);
         let mut last = String::new();
         for attempt in 0..=self.opts.source_retries {
-            if attempt > 0 {
-                let ms = pmfault::backoff_ms(
-                    seed,
-                    attempt - 1,
-                    self.opts.retry_base_ms,
-                    self.opts.retry_cap_ms,
-                );
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
+            retry_pause(seed, attempt);
             obs.add(&format!("repair.attempts.{source}"), 1);
             match attempt_fn() {
                 Ok(v) => {
@@ -487,15 +493,7 @@ impl Hippocrates {
         let seed = inj.plan().seed;
         let mut last = String::new();
         for attempt in 0..=self.opts.source_retries {
-            if attempt > 0 {
-                let ms = pmfault::backoff_ms(
-                    seed,
-                    attempt - 1,
-                    self.opts.retry_base_ms,
-                    self.opts.retry_cap_ms,
-                );
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
+            retry_pause(seed, attempt);
             let mut text = pmtrace::log::to_log(trace);
             if let Some(kind) = inj.fire(pmfault::FaultSite::TraceAppend) {
                 text = pmfault::duplicate_line(&text, seed);
@@ -561,7 +559,6 @@ impl Hippocrates {
             recovery_watchdog_ms: self.effective_watchdog(budget),
             obs: self.opts.obs.clone(),
             cancel: budget.clone(),
-            tier: self.opts.tier,
             ..pmexplore::ExploreOptions::default()
         };
         let (x, retries) = self.with_retries("exploration", || {
@@ -704,8 +701,6 @@ impl Hippocrates {
             explore_seed: self.opts.explore_seed,
             explore_jobs: self.opts.explore_jobs,
             obs: self.opts.obs.clone(),
-            tier: self.opts.tier,
-            ..pmredund::OptimizeOptions::default()
         };
         match pmredund::optimize_module(m, &o) {
             Ok(out) => {
@@ -1097,15 +1092,7 @@ impl Hippocrates {
                     if inj.plan().targets(pmfault::FaultSite::TxCommit) {
                         let seed = inj.plan().seed;
                         for attempt in 0..=self.opts.source_retries {
-                            if attempt > 0 {
-                                let ms = pmfault::backoff_ms(
-                                    seed,
-                                    attempt - 1,
-                                    self.opts.retry_base_ms,
-                                    self.opts.retry_cap_ms,
-                                );
-                                std::thread::sleep(std::time::Duration::from_millis(ms));
-                            }
+                            retry_pause(seed, attempt);
                             match inj.fire(pmfault::FaultSite::TxCommit) {
                                 Some(kind) => {
                                     inj.record(format!("tx.commit: {kind}"));

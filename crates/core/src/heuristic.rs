@@ -2,7 +2,7 @@
 //! (paper §4.2.4 and §4.3 phase 3).
 
 use crate::locate::BugSite;
-use crate::options::RepairOptions;
+use crate::options::{RepairOptions, FIX_FENCE};
 use crate::plan::insert_flush_after_store;
 use pmalias::{AliasAnalysis, PmMarking};
 use pmir::{rewrite, FuncId, InstId, Module, Op, Operand};
@@ -258,14 +258,7 @@ pub fn apply_hoist(
     rewrite::retarget_call(m.function_mut(cf), ci, root);
     if state.retargeted.insert((cf, ci)) && !has_fence_after(m, cf, ci) {
         let loc = m.function(cf).inst(ci).loc;
-        rewrite::insert_after(
-            m.function_mut(cf),
-            ci,
-            Op::Fence {
-                kind: opts.fence_kind,
-            },
-            loc,
-        );
+        rewrite::insert_after(m.function_mut(cf), ci, Op::Fence { kind: FIX_FENCE }, loc);
     }
 
     HoistApplied {

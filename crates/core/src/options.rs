@@ -44,11 +44,6 @@ pub struct RepairOptions {
     pub hoisting: bool,
     /// PM-marking mode for the heuristic.
     pub marking: MarkingMode,
-    /// Flush instruction inserted by fixes (the paper's artifact inserts
-    /// `CLWB`).
-    pub flush_kind: FlushKind,
-    /// Fence instruction inserted by fixes.
-    pub fence_kind: FenceKind,
     /// Reuse persistent subprograms across fixes (§4.2.4). Disabling this is
     /// the code-bloat ablation for §6.4.
     pub reuse_subprograms: bool,
@@ -85,11 +80,6 @@ pub struct RepairOptions {
     /// Retries per failed bug source before the engine degrades (proceeds
     /// on the surviving sources and stamps the outcome).
     pub source_retries: u32,
-    /// Base delay for the seeded exponential backoff between source
-    /// retries.
-    pub retry_base_ms: u64,
-    /// Backoff cap. Kept small by default so degraded runs stay fast.
-    pub retry_cap_ms: u64,
     /// Observability handle ([`pmobs::Obs`]). When attached to a registry
     /// the engine records `repair.*` spans and counters for every stage of
     /// the detect→fix→re-verify loop and threads the handle into the VM,
@@ -132,22 +122,19 @@ pub struct RepairOptions {
     /// the n-th round committed *in this process*. Only ever set by tests
     /// and the CI kill-and-resume gate.
     pub crash_after_commit: Option<u32>,
-    /// Execution tier for every VM run the engine performs (detection
-    /// replays, exploration recovery boots, verification). Tiers are
-    /// result-identical by construction — the differential tier gate holds
-    /// them to byte-equal traces, findings, and fixes — so this is an
-    /// execution-speed knob like [`RepairOptions::cache`], excluded from
-    /// [`RepairOptions::digest_hex`] and never able to block a resume.
-    pub tier: pmvm::ExecTier,
 }
+
+/// Flush instruction inserted by fixes (the paper's artifact inserts
+/// `CLWB`).
+pub(crate) const FIX_FLUSH: FlushKind = FlushKind::Clwb;
+/// Fence instruction inserted by fixes.
+pub(crate) const FIX_FENCE: FenceKind = FenceKind::Sfence;
 
 impl Default for RepairOptions {
     fn default() -> Self {
         RepairOptions {
             hoisting: true,
             marking: MarkingMode::FullAa,
-            flush_kind: FlushKind::Clwb,
-            fence_kind: FenceKind::Sfence,
             reuse_subprograms: true,
             portable_fixes: false,
             bug_source: BugSource::Dynamic,
@@ -159,8 +146,6 @@ impl Default for RepairOptions {
             fault: None,
             watchdog_ms: None,
             source_retries: 2,
-            retry_base_ms: 1,
-            retry_cap_ms: 8,
             obs: pmobs::Obs::default(),
             journal_path: None,
             resume: false,
@@ -169,7 +154,6 @@ impl Default for RepairOptions {
             cache: crate::WarmCache::default(),
             crash_after_commit: None,
             optimize_after: false,
-            tier: pmvm::ExecTier::default(),
         }
     }
 }
@@ -229,13 +213,15 @@ impl RepairOptions {
     /// resume. `optimize_after` is excluded too: it runs only after the
     /// loop converges, so journaled repair rounds replay unchanged.
     pub fn digest_hex(&self) -> String {
+        // The fix kinds are constants; they stay in the digest so that
+        // journals already written keep matching.
         let canon = format!(
             "hoisting={} marking={:?} flush={:?} fence={:?} reuse={} portable={} \
              source={:?} max_steps={} explore_budget={} explore_seed={} fault={:?}",
             self.hoisting,
             self.marking,
-            self.flush_kind,
-            self.fence_kind,
+            FIX_FLUSH,
+            FIX_FENCE,
             self.reuse_subprograms,
             self.portable_fixes,
             self.bug_source,
@@ -258,7 +244,6 @@ mod tests {
         assert!(o.hoisting);
         assert!(!o.portable_fixes);
         assert_eq!(o.marking, MarkingMode::FullAa);
-        assert_eq!(o.flush_kind, FlushKind::Clwb);
         assert!(!RepairOptions::intraprocedural_only().hoisting);
         assert!(o.journal_path.is_none() && !o.resume);
         assert!(!o.optimize_after);
@@ -316,7 +301,6 @@ mod tests {
             journal_path: Some("x.journal".into()),
             resume: true,
             cache: crate::WarmCache::enabled(),
-            tier: pmvm::ExecTier::Interp,
             ..RepairOptions::default()
         };
         assert_eq!(
@@ -324,5 +308,7 @@ mod tests {
             presentation.digest_hex(),
             "presentation knobs never block a resume"
         );
+        // Pinned so that existing journals keep resuming.
+        assert_eq!(base.digest_hex(), "fcd0ca451c6274af");
     }
 }

@@ -2,7 +2,7 @@
 //! (paper §4.2.1–§4.2.3 and §4.3 phase 2).
 
 use crate::locate::BugSite;
-use crate::options::RepairOptions;
+use crate::options::{RepairOptions, FIX_FENCE, FIX_FLUSH};
 use pmcheck::{Bug, BugKind};
 use pmir::{rewrite, FuncId, FunctionBuilder, InstId, Module, Op, Type};
 use pmtrace::{EventKind, Trace};
@@ -113,7 +113,7 @@ fn find_covering_flush(m: &Module, trace: &Trace, bug: &Bug) -> Option<(FuncId, 
 /// The helper flushes every cache line in `[p, p+len)` by issuing a flush at
 /// `p`, `p+64`, …, and at `p+len-1` (the endpoint covers a trailing
 /// unaligned line).
-pub fn ensure_flush_range_helper(m: &mut Module, opts: &RepairOptions) -> FuncId {
+pub fn ensure_flush_range_helper(m: &mut Module) -> FuncId {
     if let Some(f) = m.function_by_name(FLUSH_RANGE_HELPER) {
         return f;
     }
@@ -157,7 +157,7 @@ pub fn ensure_flush_range_helper(m: &mut Module, opts: &RepairOptions) -> FuncId
     b.switch_to(body);
     let i2 = b.load(Type::int(8), islot);
     let addr = b.gep(p, i2);
-    b.flush(opts.flush_kind, addr);
+    b.flush(FIX_FLUSH, addr);
     let next = b.bin(pmir::BinOp::Add, i2, 64i64);
     b.store(Type::int(8), islot, next);
     b.br(header);
@@ -165,7 +165,7 @@ pub fn ensure_flush_range_helper(m: &mut Module, opts: &RepairOptions) -> FuncId
     b.switch_to(tail);
     let last = b.bin(pmir::BinOp::Sub, len, 1i64);
     let addr2 = b.gep(p, last);
-    b.flush(opts.flush_kind, addr2);
+    b.flush(FIX_FLUSH, addr2);
     b.br(exit);
 
     b.switch_to(exit);
@@ -196,7 +196,7 @@ pub fn insert_flush_after_store(
         Op::Store { addr, ty, .. } if opts.portable_fixes => {
             // §6.2 extension: a runtime-dispatched flush call instead of a
             // raw CLWB, like the PMDK developers' portable fixes.
-            let helper = ensure_flush_range_helper(m, opts);
+            let helper = ensure_flush_range_helper(m);
             rewrite::insert_after(
                 m.function_mut(func),
                 store,
@@ -211,13 +211,13 @@ pub fn insert_flush_after_store(
             m.function_mut(func),
             store,
             Op::Flush {
-                kind: opts.flush_kind,
+                kind: FIX_FLUSH,
                 addr,
             },
             loc,
         ),
         Op::Memcpy { dst, len, .. } | Op::Memset { dst, len, .. } => {
-            let helper = ensure_flush_range_helper(m, opts);
+            let helper = ensure_flush_range_helper(m);
             rewrite::insert_after(
                 m.function_mut(func),
                 store,
@@ -252,9 +252,7 @@ pub fn apply_intra_fix(
         let fe = rewrite::insert_after(
             m.function_mut(fix.func),
             fence_anchor,
-            Op::Fence {
-                kind: opts.fence_kind,
-            },
+            Op::Fence { kind: FIX_FENCE },
             loc,
         );
         fence_inst = Some(fe);

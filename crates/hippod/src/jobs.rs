@@ -129,6 +129,11 @@ fn default_shards() -> u64 {
 /// realistic worker pool while bounding journal and scheduler state.
 pub const MAX_SHARDS: u64 = 64;
 
+/// The most exploration worker threads one job may ask for. Each is an OS
+/// thread the daemon starts on the client's behalf, so the client's
+/// number is bounded like the shard count.
+pub const MAX_JOBS: u64 = 64;
+
 impl JobSpec {
     /// A spec with the same defaults as the `hippoctl` command line, so a
     /// bare submission reproduces a bare CLI run.
@@ -163,6 +168,9 @@ impl JobSpec {
         }
         if self.jobs == 0 {
             return Err("jobs must be at least 1".to_string());
+        }
+        if self.jobs > MAX_JOBS {
+            return Err(format!("jobs must be at most {MAX_JOBS}"));
         }
         if self.deadline_ms == Some(0) {
             return Err("deadline_ms must be positive (or omitted)".to_string());
@@ -439,7 +447,6 @@ fn optimize(
         explore_seed: spec.seed,
         explore_jobs: spec.jobs as usize,
         obs: obs.clone(),
-        ..pmredund::OptimizeOptions::default()
     };
     let out = pmredund::optimize_module(&mut m, &opts).map_err(|e| e.to_string())?;
     let summary = format!("optimize: {out}");
@@ -471,6 +478,14 @@ mod tests {
         bad.bug_source = "psychic".to_string();
         let msg = bad.validate().unwrap_err();
         assert!(msg.contains("dynamic|static|both|exploration"), "{msg}");
+        // A client cannot make the daemon start an unbounded number of
+        // explore threads.
+        bad = s.clone();
+        bad.jobs = MAX_JOBS;
+        bad.validate().unwrap();
+        bad.jobs = MAX_JOBS + 1;
+        let msg = bad.validate().unwrap_err();
+        assert!(msg.contains("jobs must be at most"), "{msg}");
     }
 
     #[test]

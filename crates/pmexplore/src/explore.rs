@@ -19,7 +19,6 @@ use crate::replay::Replayer;
 use crate::sample::{sample, Candidate};
 use crate::steal::StealQueue;
 use pmcheck::{Bug, BugKind, CheckReport, Checkpoint, Provenance};
-use pmem_sim::PmMedia;
 use pmir::Module;
 use pmtrace::{DataLog, EventKind, Trace};
 use pmvm::{Vm, VmError, VmOptions};
@@ -44,8 +43,6 @@ pub struct ExploreOptions {
     pub oracle: Option<Oracle>,
     /// Step budget per recovery boot.
     pub max_recovery_steps: u64,
-    /// Medium the traced run was booted from, for traces of recovery runs.
-    pub initial_media: Option<PmMedia>,
     /// Fault plan armed on the exploration machinery: worker panics and
     /// oracle panics are keyed by candidate index (deterministic under work
     /// stealing); a planned divergence makes the matching candidate's
@@ -64,9 +61,9 @@ pub struct ExploreOptions {
     /// the partial coverage. The unlimited default never cancels. (Named
     /// `cancel` because `budget` is the crash-state cap above.)
     pub cancel: pmtx::Budget,
-    /// Execution tier for the traced run and every recovery boot.
-    /// [`pmvm::ExecTier::Fast`] by default; results are tier-independent
-    /// (the differential tier gate holds the tiers byte-identical).
+    /// Ignored: every run goes through the VM's one engine. Kept only for
+    /// the benchmark harness, which still passes it to
+    /// [`Oracle::check_opts`]; to be deleted when that harness is refreshed.
     pub tier: pmvm::ExecTier,
     /// Restrict exploration to one shard of the frontier set:
     /// `Some((i, n))` keeps only frontiers whose index `% n == i`. The
@@ -86,7 +83,6 @@ impl Default for ExploreOptions {
             jobs: 1,
             oracle: None,
             max_recovery_steps: 50_000_000,
-            initial_media: None,
             fault: None,
             recovery_watchdog_ms: None,
             obs: pmobs::Obs::default(),
@@ -279,7 +275,7 @@ pub fn explore(
         .unwrap_or_else(|| Oracle::default_for(module, entry));
     let fronts = {
         let _span = opts.obs.span("explore.frontiers");
-        let all = frontiers(trace, data, opts.initial_media.as_ref());
+        let all = frontiers(trace, data, None);
         match opts.shard {
             Some((i, n)) if n > 1 => all
                 .into_iter()
@@ -312,9 +308,8 @@ pub fn explore(
         .map(|p| Injector::with_obs(p, opts.obs.clone()));
 
     // One decode of the program under test, shared by every worker's
-    // recovery boots (the fast tier would otherwise re-decode per boot).
-    let decoded = (opts.tier == pmvm::ExecTier::Fast).then(|| pmvm::DecodedModule::decode(module));
-    let decoded = decoded.as_ref();
+    // recovery boots (the VM would otherwise re-decode per boot).
+    let decoded = pmvm::DecodedModule::decode(module);
     // One worker's loop over the steal queue. A single worker runs on the
     // calling thread, so a `jobs == 1` call starts no thread.
     let work = |w: usize| {
@@ -351,7 +346,7 @@ pub fn explore(
                     // The replayer is forward-only; a stolen chunk
                     // that jumps backwards restarts it.
                     if replayer.is_none() || at_seq > c.after_seq {
-                        replayer = Some(Replayer::new(trace, data, opts.initial_media.as_ref()));
+                        replayer = Some(Replayer::new(trace, data, None));
                     }
                     let r = replayer.as_mut().expect("created above");
                     r.advance_to(c.after_seq);
@@ -417,7 +412,7 @@ pub fn explore(
                                     watchdog,
                                     fault,
                                     opts.tier,
-                                    decoded,
+                                    Some(&decoded),
                                 )
                             }))
                             .unwrap_or_else(|p| {
@@ -661,9 +656,7 @@ pub fn run_and_explore(
 ) -> Result<Exploration, VmError> {
     let vm_opts = VmOptions {
         capture_pm_data: true,
-        media: opts.initial_media.clone(),
         obs: opts.obs.clone(),
-        tier: opts.tier,
         ..VmOptions::default()
     };
     let res = {

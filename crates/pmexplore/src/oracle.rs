@@ -53,7 +53,7 @@ impl Oracle {
         }
     }
 
-    /// Boots `image` and judges the recovery run (default execution tier).
+    /// Boots `image` and judges the recovery run.
     pub fn check(&self, module: &Module, image: CrashImage, max_steps: u64) -> Verdict {
         self.check_opts(
             module,
@@ -66,15 +66,18 @@ impl Oracle {
         )
     }
 
-    /// [`Oracle::check`] with a wall-clock watchdog, a fault plan, and/or
-    /// an execution tier for the recovery run. A watchdog firing (a
-    /// diverging oracle) or an invalid configuration is an
-    /// [`Verdict::OracleCrash`] — the oracle failed, which says nothing
-    /// about the crash state's consistency.
+    /// [`Oracle::check`] with a wall-clock watchdog and/or a fault plan for
+    /// the recovery run. A watchdog firing (a diverging oracle) or an
+    /// invalid configuration is an [`Verdict::OracleCrash`] — the oracle
+    /// failed, which says nothing about the crash state's consistency.
     ///
     /// `decoded` optionally reuses a pre-decoded `module` across boots
     /// (see [`Vm::run_prepared`]); exploration checks thousands of crash
     /// states against one program, so decoding per boot is pure waste.
+    ///
+    /// `_tier` is ignored (the VM has one engine); it is kept only for the
+    /// benchmark harness and is to be deleted when that harness is
+    /// refreshed.
     #[allow(clippy::too_many_arguments)]
     pub fn check_opts(
         &self,
@@ -83,7 +86,7 @@ impl Oracle {
         max_steps: u64,
         watchdog_ms: Option<u64>,
         fault: Option<pmfault::FaultPlan>,
-        tier: ExecTier,
+        _tier: ExecTier,
         decoded: Option<&pmvm::DecodedModule>,
     ) -> Verdict {
         let opts = VmOptions {
@@ -91,7 +94,6 @@ impl Oracle {
             max_steps,
             watchdog_ms,
             fault,
-            tier,
             ..VmOptions::default()
         }
         .with_media(image.into_media());

@@ -203,11 +203,10 @@ fn parse_body(m: &mut Module, name: &str, lines: &[(usize, &str)], mut i: usize)
             i += 1;
             continue;
         }
-        if blocks.is_empty() {
+        let Some(block) = blocks.last_mut() else {
             return perr(ln, "instruction before first block label");
-        }
-        let raw = parse_inst(m, ln, l)?;
-        blocks.last_mut().unwrap().push(raw);
+        };
+        block.push(parse_inst(m, ln, l)?);
         i += 1;
     }
 

@@ -30,16 +30,14 @@ pub struct OptimizeOptions {
     pub explore_seed: u64,
     /// Exploration worker threads.
     pub explore_jobs: usize,
-    /// Analysis rounds: removals cascade (a sunk fence exposes the next),
-    /// so the module is re-analyzed after each committed batch until no
-    /// fresh finding remains or the cap is hit.
-    pub max_rounds: usize,
     /// Observability handle for `opt.*` counters and spans.
     pub obs: pmobs::Obs,
-    /// Execution tier for re-verification runs (tiers are
-    /// result-identical; this only changes how fast verification goes).
-    pub tier: pmvm::ExecTier,
 }
+
+/// Analysis rounds: removals cascade (a sunk fence exposes the next), so the
+/// module is re-analyzed after each committed batch until no fresh finding
+/// remains or this cap is hit.
+const MAX_ROUNDS: u64 = 4;
 
 impl Default for OptimizeOptions {
     fn default() -> Self {
@@ -48,9 +46,7 @@ impl Default for OptimizeOptions {
             explore_budget: 128,
             explore_seed: 0,
             explore_jobs: 1,
-            max_rounds: 4,
             obs: pmobs::Obs::default(),
-            tier: pmvm::ExecTier::default(),
         }
     }
 }
@@ -191,18 +187,13 @@ fn observe(
     m: &Module,
     opts: &OptimizeOptions,
 ) -> Result<(Vec<i64>, BTreeMap<String, u32>), String> {
-    let vm_opts = VmOptions {
-        tier: opts.tier,
-        ..VmOptions::default()
-    };
-    let checked =
-        pmcheck::run_and_check(m, &opts.entry, vm_opts).map_err(|e| format!("run failed: {e}"))?;
+    let checked = pmcheck::run_and_check(m, &opts.entry, VmOptions::default())
+        .map_err(|e| format!("run failed: {e}"))?;
     let x_opts = pmexplore::ExploreOptions {
         budget: opts.explore_budget,
         seed: opts.explore_seed,
         jobs: opts.explore_jobs,
         obs: opts.obs.clone(),
-        tier: opts.tier,
         ..Default::default()
     };
     let x = pmexplore::run_and_explore(m, &opts.entry, &x_opts)
@@ -376,7 +367,7 @@ pub fn optimize_module(
     };
     let mut out = OptimizeOutcome::default();
     let mut quarantined_sites: HashSet<(pmir::FuncId, pmir::InstId)> = HashSet::new();
-    for round in 1..=opts.max_rounds as u64 {
+    for round in 1..=MAX_ROUNDS {
         let findings = analyze_module(m, &opts.entry).map_err(OptimizeError::Analyze)?;
         let fresh: Vec<Finding> = findings
             .into_iter()

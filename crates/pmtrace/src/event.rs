@@ -169,25 +169,20 @@ impl Trace {
         serde_json::to_string_pretty(self)
     }
 
-    /// Parses a trace from JSON.
+    /// Parses a trace from JSON, with the same range checks as
+    /// [`crate::log::from_log`]: pools inside the PM window, stores inside a
+    /// pool registered before them.
     ///
     /// # Errors
     ///
-    /// Returns the underlying `serde_json` error on malformed input.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Parses a trace from JSON, mapping failures into the structured
-    /// [`crate::TraceError`] taxonomy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::TraceError::Json`] on malformed input.
-    pub fn from_json_diagnostic(s: &str) -> Result<Self, crate::TraceError> {
-        Self::from_json(s).map_err(|e| crate::TraceError::Json {
-            message: e.to_string(),
-        })
+    /// Returns [`crate::TraceError::Json`] on malformed input or an
+    /// out-of-range event.
+    pub fn from_json(s: &str) -> Result<Self, crate::TraceError> {
+        let json = |message| crate::TraceError::Json { message };
+        let trace: Trace = serde_json::from_str(s).map_err(|e| json(e.to_string()))?;
+        crate::log::check_ranges(&trace.events)
+            .map_err(|(i, msg)| json(format!("event {}: {msg}", trace.events[i].seq)))?;
+        Ok(trace)
     }
 
     /// Structural sanity check: reports oddities a parse cannot reject but
@@ -280,10 +275,11 @@ mod tests {
 
     #[test]
     fn from_json_diagnostic_maps_errors() {
-        assert!(Trace::from_json_diagnostic("{\"events\": [").is_err());
+        let err = Trace::from_json("{\"events\": [").unwrap_err();
+        assert!(matches!(err, crate::TraceError::Json { .. }), "{err}");
         let t = Trace::new();
         let json = t.to_json().expect("serializes");
-        assert_eq!(Trace::from_json_diagnostic(&json).expect("parses"), t);
+        assert_eq!(Trace::from_json(&json).expect("parses"), t);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! Ranges are bounded at ingest, because checkers and explorers size
 //! buffers by them: a `REGISTER` must lie inside [`PM_WINDOW`], and a
 //! `STORE` inside a pool registered on an earlier line (the VM registers a
-//! pool at every `pmem_map`, before any store into it).
+//! pool at every `pmem_map`, before any store into it). JSON traces
+//! ([`Trace::from_json`]) get the same checks.
 
 use crate::event::{Event, EventKind, FenceKind, FlushKind, Frame, IrRef, Trace, TraceLoc};
 use std::collections::BTreeMap;
@@ -139,8 +140,8 @@ pub fn from_log_obs(text: &str, obs: &pmobs::Obs) -> Result<Trace, LogError> {
 
 fn from_log_inner(text: &str) -> Result<Trace, LogError> {
     let mut trace = Trace::new();
-    // Registered pools so far: base -> end.
-    let mut pools = BTreeMap::new();
+    // (line, byte offset) of each event, for range errors.
+    let mut origins = vec![];
     let mut seq = 0u64;
     let mut offset = 0usize;
     for (ln, full) in text.split_inclusive('\n').enumerate() {
@@ -177,21 +178,10 @@ fn from_log_inner(text: &str) -> Result<Trace, LogError> {
         };
 
         let kind = match head {
-            "STORE" => {
-                let (addr, len) = (num(need("addr")?)?, num(need("len")?)?);
-                let inside = addr.checked_add(len.max(1)).is_some_and(|end| {
-                    pools
-                        .range(..=addr)
-                        .next_back()
-                        .is_some_and(|(_, &pool_end)| end <= pool_end)
-                });
-                if !inside {
-                    return Err(err(format!(
-                        "store of {len} byte(s) at {addr:#x} lies outside every pool registered before it"
-                    )));
-                }
-                EventKind::Store { addr, len }
-            }
+            "STORE" => EventKind::Store {
+                addr: num(need("addr")?)?,
+                len: num(need("len")?)?,
+            },
             "FLUSH" => EventKind::Flush {
                 kind: parse_flush(need("kind")?).ok_or_else(|| err("bad flush kind".into()))?,
                 addr: num(need("addr")?)?,
@@ -199,20 +189,11 @@ fn from_log_inner(text: &str) -> Result<Trace, LogError> {
             "FENCE" => EventKind::Fence {
                 kind: parse_fence(need("kind")?).ok_or_else(|| err("bad fence kind".into()))?,
             },
-            "REGISTER" => {
-                let (hint, base, size) = (
-                    num(need("pool")?)?,
-                    num(need("base")?)?,
-                    num(need("size")?)?,
-                );
-                let end = pool_end(base, size).ok_or_else(|| {
-                    err(format!(
-                        "pool of {size} byte(s) at {base:#x} leaves the PM window {PM_WINDOW:#x?}"
-                    ))
-                })?;
-                pools.insert(base, end);
-                EventKind::RegisterPool { hint, base, size }
-            }
+            "REGISTER" => EventKind::RegisterPool {
+                hint: num(need("pool")?)?,
+                base: num(need("base")?)?,
+                size: num(need("size")?)?,
+            },
             "CRASHPOINT" => EventKind::CrashPoint,
             "END" => EventKind::ProgramEnd,
             other => return Err(err(format!("unknown event `{other}`"))),
@@ -238,9 +219,49 @@ fn from_log_inner(text: &str) -> Result<Trace, LogError> {
             loc,
             stack,
         });
+        origins.push((line_no, line_offset));
         seq += 1;
     }
+    check_ranges(&trace.events).map_err(|(i, message)| LogError {
+        line: origins[i].0,
+        byte_offset: origins[i].1,
+        message,
+    })?;
     Ok(trace)
+}
+
+/// Checks the ranges consumers size buffers by: every `RegisterPool` must
+/// lie inside [`PM_WINDOW`], and every `Store` inside a pool registered
+/// before it. Returns the index of the first offending event and what is
+/// wrong with it. Both trace readers call this.
+pub(crate) fn check_ranges(events: &[Event]) -> Result<(), (usize, String)> {
+    // Registered pools so far: base -> end.
+    let mut pools = BTreeMap::new();
+    for (i, e) in events.iter().enumerate() {
+        let bad = match e.kind {
+            EventKind::Store { addr, len } => {
+                let inside = addr.checked_add(len.max(1)).is_some_and(|end| {
+                    let pool = pools.range(..=addr).next_back();
+                    pool.is_some_and(|(_, &pool_end)| end <= pool_end)
+                });
+                (!inside).then(|| format!("store of {len} byte(s) at {addr:#x} lies outside every pool registered before it"))
+            }
+            EventKind::RegisterPool { base, size, .. } => match pool_end(base, size) {
+                Some(end) => {
+                    pools.insert(base, end);
+                    None
+                }
+                None => Some(format!(
+                    "pool of {size} byte(s) at {base:#x} leaves the PM window {PM_WINDOW:#x?}"
+                )),
+            },
+            _ => None,
+        };
+        if let Some(message) = bad {
+            return Err((i, message));
+        }
+    }
+    Ok(())
 }
 
 fn flush_name(k: FlushKind) -> &'static str {
@@ -484,42 +505,78 @@ mod tests {
         assert_eq!(addrs, vec![0x3000_0000_0040, 0x3000_0000_0040]);
     }
 
+    /// The JSON encoding of a trace of `kinds`, numbered in order.
+    fn json_of(kinds: Vec<EventKind>) -> String {
+        let events = kinds.into_iter().enumerate().map(|(i, kind)| Event {
+            seq: i as u64,
+            kind,
+            at: None,
+            loc: None,
+            stack: vec![],
+        });
+        events.collect::<Trace>().to_json().expect("serializes")
+    }
+
     #[test]
     fn stores_outside_registered_pools_are_rejected() {
         const REG: &str = "REGISTER pool=0 base=0x300000000000 size=100\n";
+        let pool = EventKind::RegisterPool {
+            hint: 0,
+            base: 0x3000_0000_0000,
+            size: 100,
+        };
         // The pool spans 128 bytes: its size rounds up to whole lines.
         assert!(from_log(&format!("{REG}STORE addr=0x30000000007f len=1\n")).is_ok());
-        for store in [
+        for (addr, len) in [
             // A forged length the checker would size a line mask by.
-            "STORE addr=0x300000000000 len=1152921504606846976",
+            (0x3000_0000_0000, 1 << 60),
             // One byte past the pool's last line.
-            "STORE addr=0x300000000078 len=9",
+            (0x3000_0000_0078, 9),
             // Below the pool, and a range that wraps the address space.
-            "STORE addr=0x2fffffffffff len=1",
-            "STORE addr=0xffffffffffffffff len=2",
+            (0x2fff_ffff_ffff, 1),
+            (u64::MAX, 2),
         ] {
+            let store = format!("STORE addr={addr:#x} len={len}");
             let err = from_log(&format!("# tool header\n{REG}{store}\n")).unwrap_err();
             assert_eq!(err.line, 3, "{store}: {err}");
             assert!(err.message.contains("outside every pool"), "{err}");
+            // JSON traces get the same check.
+            let json = json_of(vec![pool.clone(), EventKind::Store { addr, len }]);
+            let err = Trace::from_json(&json).unwrap_err();
+            assert!(err.to_string().contains("event 1: store of"), "{err}");
         }
         // A store before its pool is registered is rejected too.
         let err = from_log(&format!("STORE addr=0x300000000000 len=8\n{REG}")).unwrap_err();
         assert_eq!(err.line, 1);
+        let store = EventKind::Store {
+            addr: 0x3000_0000_0000,
+            len: 8,
+        };
+        assert!(Trace::from_json(&json_of(vec![store, pool])).is_err());
     }
 
     #[test]
     fn registers_outside_the_pm_window_are_rejected() {
-        for reg in [
+        for (base, size) in [
             // A pool the explorer would otherwise allocate 2^60 bytes for.
-            "REGISTER pool=0 base=0x300000000000 size=1152921504606846976",
-            "REGISTER pool=0 base=0x3fffffffffc0 size=65",
-            "REGISTER pool=0 base=0x200000000000 size=64",
-            "REGISTER pool=0 base=0xffffffffffffffc0 size=64",
-            "REGISTER pool=0 base=0x300000000000 size=18446744073709551615",
+            (0x3000_0000_0000, 1 << 60),
+            (0x3fff_ffff_ffc0, 65),
+            (0x2000_0000_0000, 64),
+            (0xffff_ffff_ffff_ffc0, 64),
+            (0x3000_0000_0000, u64::MAX),
         ] {
+            let reg = format!("REGISTER pool=0 base={base:#x} size={size}");
             let err = from_log(&format!("END\n{reg}\n")).unwrap_err();
             assert_eq!(err.line, 2, "{reg}: {err}");
             assert!(err.message.contains("PM window"), "{err}");
+            // JSON traces get the same check.
+            let pool = EventKind::RegisterPool {
+                hint: 0,
+                base,
+                size,
+            };
+            let err = Trace::from_json(&json_of(vec![EventKind::ProgramEnd, pool])).unwrap_err();
+            assert!(err.to_string().contains("PM window"), "{err}");
         }
         assert!(from_log("REGISTER pool=0 base=0x3fffffffffc0 size=64\n").is_ok());
     }

@@ -1,8 +1,7 @@
 //! Pre-decoding: lowers a [`pmir::Module`] into flat, register-indexed op
-//! arrays for the fast execution tier (the crate-private `fastvm` module,
-//! selected by [`crate::ExecTier::Fast`]).
+//! arrays for the VM's engine (the crate-private `fastvm` module).
 //!
-//! The reference interpreter walks the pmir arenas on every step: block
+//! The reference interpreter ([`crate::Vm::run_reference`]) walks the pmir arenas on every step: block
 //! lookup, instruction lookup, operand `match`, and a `HashMap` probe per
 //! `global_addr`. [`DecodedModule`] pays all of that exactly once per run:
 //!
@@ -21,10 +20,10 @@
 //!   it untraced.
 //!
 //! Decoding is semantics-free: each `DecOp` corresponds 1:1 to a pmir
-//! instruction, and the differential tier gate holds the decoded execution
-//! byte-identical to the interpreter.
+//! instruction, and the differential tests hold the decoded execution
+//! byte-identical to the reference interpreter.
 
-use pmir::{BinOp, CmpPred, FuncId, Module, Op, Operand, SrcLoc};
+use pmir::{BinOp, CmpPred, FenceKind, FlushKind, FuncId, Module, Op, Operand, SrcLoc};
 
 /// Sentinel for "this op produces no result value".
 pub const NO_DST: u32 = u32::MAX;
@@ -297,13 +296,13 @@ fn lower(op: &Op, dst: u32, starts: &[u32]) -> DecOp {
             len: Src::of(*len),
         },
         Op::Flush { kind, addr } => DecOp::Flush {
-            sim: crate::interp::to_sim_flush(*kind),
-            trace: crate::interp::to_trace_flush(*kind),
+            sim: to_sim_flush(*kind),
+            trace: to_trace_flush(*kind),
             addr: Src::of(*addr),
         },
         Op::Fence { kind } => DecOp::Fence {
-            sim: crate::interp::to_sim_fence(*kind),
-            trace: crate::interp::to_trace_fence(*kind),
+            sim: to_sim_fence(*kind),
+            trace: to_trace_fence(*kind),
         },
         Op::Call { callee, args } => DecOp::Call {
             callee: fid(*callee),
@@ -339,6 +338,36 @@ fn lower(op: &Op, dst: u32, starts: &[u32]) -> DecOp {
 
 fn fid(id: FuncId) -> u32 {
     id.0
+}
+
+pub(crate) fn to_sim_flush(k: FlushKind) -> pmem_sim::FlushKind {
+    match k {
+        FlushKind::Clwb => pmem_sim::FlushKind::Clwb,
+        FlushKind::ClflushOpt => pmem_sim::FlushKind::ClflushOpt,
+        FlushKind::Clflush => pmem_sim::FlushKind::Clflush,
+    }
+}
+
+pub(crate) fn to_trace_flush(k: FlushKind) -> pmtrace::FlushKind {
+    match k {
+        FlushKind::Clwb => pmtrace::FlushKind::Clwb,
+        FlushKind::ClflushOpt => pmtrace::FlushKind::ClflushOpt,
+        FlushKind::Clflush => pmtrace::FlushKind::Clflush,
+    }
+}
+
+pub(crate) fn to_sim_fence(k: FenceKind) -> pmem_sim::FenceKind {
+    match k {
+        FenceKind::Sfence => pmem_sim::FenceKind::Sfence,
+        FenceKind::Mfence => pmem_sim::FenceKind::Mfence,
+    }
+}
+
+pub(crate) fn to_trace_fence(k: FenceKind) -> pmtrace::FenceKind {
+    match k {
+        FenceKind::Sfence => pmtrace::FenceKind::Sfence,
+        FenceKind::Mfence => pmtrace::FenceKind::Mfence,
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
-//! The fast execution tier: direct-threaded dispatch over a
-//! [`DecodedModule`].
+//! The VM's engine: direct-threaded dispatch over a [`DecodedModule`].
 //!
 //! Semantics are **identical** to the reference interpreter
-//! ([`crate::interp`]) — same traces, same machine state, same errors and
+//! ([`crate::Vm::run_reference`]) — same traces, same machine state, same errors and
 //! stats — but the per-step work is a pc-indexed fetch from a flat op array
 //! with pre-resolved operands: no block/inst arena walks, no operand
 //! `match` on IR enums, no `HashMap` probes, and no allocation on the
@@ -18,11 +17,12 @@
 use crate::decode::{DecOp, DecodedFunc, DecodedModule, OpMeta, Src, NO_DST};
 use crate::options::VmOptions;
 use crate::result::{Ended, RunResult, VmError};
+use crate::vm::Boot;
 use pmem_sim::{layout, Machine};
-use pmir::{FuncId, Module};
+use pmir::Module;
 use pmtrace::{DataLog, Event, EventKind, IrRef, Trace, TraceLoc};
 
-/// Compile-time tracing switch for the fast tier's run loop.
+/// Compile-time tracing switch for the engine's run loop.
 pub(crate) trait EventSink {
     /// Whether events are recorded at all. `false` makes every emission
     /// site compile away.
@@ -55,17 +55,12 @@ impl EventSink for TraceSink {
     }
 }
 
-/// Runs `entry` on the fast tier. Called by [`crate::Vm::run`] after option
-/// validation and machine/injector setup (shared with the interpreter).
-#[allow(clippy::too_many_arguments)]
+/// Runs a booted program on the engine. Called by [`crate::Vm::run`] after
+/// option validation and machine/injector setup.
 pub(crate) fn run(
     module: &Module,
-    entry: FuncId,
     opts: &VmOptions,
-    machine: Machine,
-    injector: Option<pmfault::Injector>,
-    fuel: u64,
-    deadline: Option<std::time::Instant>,
+    boot: Boot,
     decoded: Option<&DecodedModule>,
 ) -> Result<RunResult, VmError> {
     let owned;
@@ -81,40 +76,23 @@ pub(crate) fn run(
         // dozen reallocations that each memmove the whole log.
         let mut t = Trace::new();
         t.events.reserve(1024);
-        go(
-            module,
-            decoded,
-            entry,
-            opts,
-            machine,
-            injector,
-            fuel,
-            deadline,
-            TraceSink(t),
-        )
+        go(module, decoded, opts, boot, TraceSink(t))
     } else {
-        go(
-            module, decoded, entry, opts, machine, injector, fuel, deadline, NullSink,
-        )
+        go(module, decoded, opts, boot, NullSink)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn go<S: EventSink>(
     module: &Module,
     decoded: &DecodedModule,
-    entry: FuncId,
     opts: &VmOptions,
-    machine: Machine,
-    injector: Option<pmfault::Injector>,
-    fuel: u64,
-    deadline: Option<std::time::Instant>,
+    boot: Boot,
     sink: S,
 ) -> Result<RunResult, VmError> {
     let mut exec = FastExec {
         module,
         decoded,
-        machine,
+        machine: boot.machine,
         frames: Vec::with_capacity(16),
         vals: Vec::with_capacity(256),
         globals: Vec::new(),
@@ -129,18 +107,18 @@ fn go<S: EventSink>(
         seq: 0,
         crash_points: 0,
         pm_stores_seen: 0,
-        fuel,
-        deadline,
-        injector,
+        fuel: boot.fuel,
+        deadline: boot.deadline,
+        injector: boot.injector,
         opts,
     };
     exec.install_globals()?;
-    exec.push_call(entry.0);
+    exec.push_call(boot.entry.0);
     let (ended, return_value) = exec.run_loop()?;
     if ended == Ended::Returned {
         exec.emit(EventKind::ProgramEnd, None);
     }
-    crate::interp::record_run_obs(
+    crate::vm::record_run_obs(
         opts,
         exec.steps,
         exec.machine.stats(),
@@ -625,8 +603,8 @@ impl<S: EventSink> FastExec<'_, '_, S> {
 
 #[cfg(test)]
 mod tests {
-    use crate::options::ExecTier;
-    use crate::{Vm, VmOptions};
+    use crate::interp::tests::run_both;
+    use crate::VmOptions;
     use pmir::{BinOp, CmpPred, FenceKind, FlushKind, FunctionBuilder, Module, Operand, Type};
 
     /// A module exercising every op family: arithmetic, control flow,
@@ -699,61 +677,29 @@ mod tests {
         m
     }
 
-    fn run_tier(m: &Module, opts: VmOptions, tier: ExecTier) -> crate::RunResult {
-        Vm::new(opts.with_tier(tier)).run(m, "main").unwrap()
-    }
-
-    /// The strictest comparison: both tiers must agree on every observable.
-    fn assert_identical(m: &Module, opts: VmOptions) {
-        let a = run_tier(m, opts.clone(), ExecTier::Interp);
-        let b = run_tier(m, opts, ExecTier::Fast);
-        assert_eq!(a.output, b.output, "output");
-        assert_eq!(a.return_value, b.return_value, "return value");
-        assert_eq!(a.ended, b.ended, "ended");
-        assert_eq!(a.steps, b.steps, "steps");
-        assert_eq!(a.stats, b.stats, "machine stats");
-        assert_eq!(a.trace, b.trace, "trace");
-        assert_eq!(a.pm_data, b.pm_data, "pm data");
-        assert_eq!(
-            a.machine.crash_image(),
-            b.machine.crash_image(),
-            "crash image"
-        );
-        assert_eq!(
-            a.machine.dirty_pm_lines(),
-            b.machine.dirty_pm_lines(),
-            "dirty lines"
-        );
-        assert_eq!(
-            a.machine.pending_pm_lines(),
-            b.machine.pending_pm_lines(),
-            "pending lines"
-        );
-    }
-
     #[test]
     fn tiers_agree_on_kitchen_sink() {
-        assert_identical(&kitchen_sink(), VmOptions::default().capture_pm_data());
+        run_both(&kitchen_sink(), VmOptions::default().capture_pm_data()).unwrap();
     }
 
     #[test]
     fn tiers_agree_untraced() {
-        assert_identical(&kitchen_sink(), VmOptions::bench());
+        run_both(&kitchen_sink(), VmOptions::bench()).unwrap();
     }
 
     #[test]
     fn tiers_agree_at_crash_point_stop() {
-        assert_identical(&kitchen_sink(), VmOptions::default().stop_at(1));
+        run_both(&kitchen_sink(), VmOptions::default().stop_at(1)).unwrap();
     }
 
     #[test]
     fn tiers_agree_at_every_event_stop() {
         let m = kitchen_sink();
-        let full = run_tier(&m, VmOptions::default(), ExecTier::Interp);
+        let full = run_both(&m, VmOptions::default()).unwrap();
         let n_events = full.trace.as_ref().unwrap().len() as u64;
         assert!(n_events > 5, "sink module must emit a real trace");
         for seq in 0..n_events {
-            assert_identical(&m, VmOptions::default().stop_at_event(seq));
+            run_both(&m, VmOptions::default().stop_at_event(seq)).unwrap();
         }
     }
 
@@ -763,7 +709,7 @@ mod tests {
             evict_period: Some(2),
             ..VmOptions::default()
         };
-        assert_identical(&kitchen_sink(), opts);
+        run_both(&kitchen_sink(), opts).unwrap();
     }
 
     #[test]
@@ -778,13 +724,7 @@ mod tests {
         b.print(v);
         b.ret(None);
         b.finish();
-        let ea = Vm::new(VmOptions::default().with_tier(ExecTier::Interp))
-            .run(&m, "main")
-            .unwrap_err();
-        let eb = Vm::new(VmOptions::default().with_tier(ExecTier::Fast))
-            .run(&m, "main")
-            .unwrap_err();
-        assert_eq!(format!("{ea}"), format!("{eb}"));
+        run_both(&m, VmOptions::default()).unwrap_err();
 
         // Fuel exhaustion reports the same limit.
         let spin = {
@@ -804,28 +744,16 @@ mod tests {
             max_steps: 100,
             ..VmOptions::default()
         };
-        let ea = Vm::new(opts.clone().with_tier(ExecTier::Interp))
-            .run(&spin, "main")
-            .unwrap_err();
-        let eb = Vm::new(opts.with_tier(ExecTier::Fast))
-            .run(&spin, "main")
-            .unwrap_err();
-        assert_eq!(format!("{ea}"), format!("{eb}"));
+        run_both(&spin, opts).unwrap_err();
     }
 
     #[test]
     fn tiers_agree_on_abort_and_restart() {
-        // Run to a crash, reboot each tier on its own medium, and compare
-        // the recovery run too.
+        // Run to a crash (the two media agree), then compare a reboot of
+        // that medium too.
         let m = kitchen_sink();
-        let a = run_tier(&m, VmOptions::default().stop_at(1), ExecTier::Interp);
-        let b = run_tier(&m, VmOptions::default().stop_at(1), ExecTier::Fast);
-        let ma = a.machine.into_media();
-        let mb = b.machine.into_media();
-        let ra = run_tier(&m, VmOptions::default().with_media(ma), ExecTier::Interp);
-        let rb = run_tier(&m, VmOptions::default().with_media(mb), ExecTier::Fast);
-        assert_eq!(ra.output, rb.output);
-        assert_eq!(ra.trace, rb.trace);
-        assert_eq!(ra.machine.crash_image(), rb.machine.crash_image());
+        let crashed = run_both(&m, VmOptions::default().stop_at(1)).unwrap();
+        let media = crashed.machine.into_media();
+        run_both(&m, VmOptions::default().with_media(media)).unwrap();
     }
 }

@@ -1,133 +1,32 @@
-//! The reference interpreter loop (the `ExecTier::Interp` tier), plus the
-//! shared [`Vm`] entry point that validates options and dispatches to the
-//! selected tier.
+//! The reference interpreter: [`Vm::run_reference`] walks the pmir arenas
+//! directly, one instruction at a time. It is slow and plain on purpose:
+//! tests compare the decoded engine ([`Vm::run`]) against it, and the
+//! pipeline never calls it.
 
-use crate::options::{ExecTier, VmOptions};
+use crate::decode::{to_sim_fence, to_sim_flush, to_trace_fence, to_trace_flush};
+use crate::options::VmOptions;
 use crate::result::{Ended, RunResult, VmError};
+use crate::vm::{record_run_obs, Vm};
 use pmem_sim::{layout, Machine};
-use pmir::{BlockId, FenceKind, FlushKind, FuncId, GlobalId, InstId, Module, Op, Operand};
+use pmir::{BlockId, FuncId, GlobalId, InstId, Module, Op, Operand};
 use pmtrace::{DataLog, Event, EventKind, IrRef, Trace, TraceLoc};
 use std::collections::HashMap;
 
-/// The virtual machine. Cheap to construct; one [`Vm::run`] call executes a
-/// program from `main` (or any other zero-argument entry point) to
-/// completion.
-#[derive(Debug, Clone)]
-pub struct Vm {
-    opts: VmOptions,
-}
-
 impl Vm {
-    /// Creates a VM with the given options.
-    pub fn new(opts: VmOptions) -> Self {
-        Vm { opts }
-    }
-
-    /// Runs `entry` (a zero-parameter function) in `module`.
-    ///
-    /// Takes `&mut self` so a boot medium in the options is *moved* into
-    /// the machine, not copied — recovery boots are the explorer's hot
-    /// path, and pool buffers are hundreds of kilobytes. A second `run` on
-    /// the same `Vm` therefore boots factory-fresh; every call site
-    /// constructs `Vm::new(opts).run(..)` per run.
+    /// Runs `entry` on the reference interpreter: the same boot as
+    /// [`Vm::run`], then an arena-walking loop instead of the decoded
+    /// engine. Tests hold every [`RunResult`] field and every error of the
+    /// two equal; nothing else calls this.
     ///
     /// # Errors
     ///
-    /// Returns a [`VmError`] if the program traps (memory fault, division by
-    /// zero, step limit) or the entry point is unsuitable.
-    pub fn run(&mut self, module: &Module, entry: &str) -> Result<RunResult, VmError> {
-        self.run_prepared(module, entry, None)
-    }
-
-    /// [`Vm::run`], reusing a pre-decoded program. `decoded` must be
-    /// `DecodedModule::decode(module)` for this exact `module` — callers
-    /// that boot the same program many times (the exploration oracle) pay
-    /// the decode once. Ignored by the reference tier. `None` decodes on
-    /// demand, which is what [`Vm::run`] does.
-    pub fn run_prepared(
-        &mut self,
-        module: &Module,
-        entry: &str,
-        decoded: Option<&crate::DecodedModule>,
-    ) -> Result<RunResult, VmError> {
+    /// The same [`VmError`]s as [`Vm::run`].
+    pub fn run_reference(&mut self, module: &Module, entry: &str) -> Result<RunResult, VmError> {
         let _span = self.opts.obs.span("vm.run");
-        if self.opts.stop_at_crash_point == Some(0) {
-            return Err(VmError::BadOptions {
-                reason: "stop_at_crash_point is 1-based; 0 never matches any crash point"
-                    .to_string(),
-            });
-        }
-        if (self.opts.capture_pm_data || self.opts.stop_at_event.is_some()) && !self.opts.trace {
-            return Err(VmError::BadOptions {
-                reason: "capture_pm_data / stop_at_event require tracing".to_string(),
-            });
-        }
-        if self.opts.max_steps == 0 {
-            let reason = if self.opts.watchdog_ms.is_some() {
-                "watchdog requires fuel > 0 (max_steps = 0 can never run)"
-            } else {
-                "max_steps must be > 0"
-            };
-            return Err(VmError::BadOptions {
-                reason: reason.to_string(),
-            });
-        }
-        if self.opts.watchdog_ms == Some(0) {
-            return Err(VmError::BadOptions {
-                reason: "watchdog_ms must be > 0".to_string(),
-            });
-        }
-        let stuck_planned = self
-            .opts
-            .fault
-            .as_ref()
-            .is_some_and(|p| p.targets(pmfault::FaultSite::VmDiverge));
-        if stuck_planned && self.opts.watchdog_ms.is_none() {
-            return Err(VmError::BadOptions {
-                reason: "a stuck-loop fault plan requires a wall-clock watchdog (watchdog_ms)"
-                    .to_string(),
-            });
-        }
-        let entry_id = module
-            .function_by_name(entry)
-            .ok_or_else(|| VmError::NoSuchFunction {
-                name: entry.to_string(),
-            })?;
-        if !module.function(entry_id).params().is_empty() {
-            return Err(VmError::EntryHasParams {
-                name: entry.to_string(),
-            });
-        }
-        let mut machine = match self.opts.media.take() {
-            Some(media) => Machine::with_media(media, self.opts.cost),
-            None => Machine::new(self.opts.cost),
-        };
-        // Arm fault injection: the machine gets its own injector clone for
-        // the sim-level sites (store/flush/media-read); the interpreter
-        // keeps one for the VM-level sites. Counters are per-site, so the
-        // split never double-counts.
-        let mut injector = self.opts.fault.clone().map(pmfault::Injector::new);
-        let mut fuel = self.opts.max_steps;
-        if let Some(inj) = injector.as_mut() {
-            machine.set_injector(Some(inj.clone()));
-            if let Some(pmfault::FaultKind::FuelExhaustion { max_steps }) =
-                inj.fire(pmfault::FaultSite::VmFuel)
-            {
-                fuel = fuel.min(max_steps.max(1));
-            }
-        }
-        let deadline = self
-            .opts
-            .watchdog_ms
-            .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-        if self.opts.tier == ExecTier::Fast {
-            return crate::fastvm::run(
-                module, entry_id, &self.opts, machine, injector, fuel, deadline, decoded,
-            );
-        }
+        let boot = self.boot(module, entry)?;
         let mut exec = Exec {
             module,
-            machine,
+            machine: boot.machine,
             frames: vec![],
             globals: HashMap::new(),
             output: vec![],
@@ -137,13 +36,13 @@ impl Vm {
             seq: 0,
             crash_points: 0,
             pm_stores_seen: 0,
-            fuel,
-            deadline,
-            injector,
+            fuel: boot.fuel,
+            deadline: boot.deadline,
+            injector: boot.injector,
             opts: &self.opts,
         };
         exec.install_globals()?;
-        exec.push_call(entry_id);
+        exec.push_call(boot.entry);
         let (ended, return_value) = exec.run_loop()?;
         if ended == Ended::Returned {
             exec.emit(EventKind::ProgramEnd, None);
@@ -593,67 +492,39 @@ impl Exec<'_, '_> {
     }
 }
 
-/// Records the per-run `vm.*` observability counters (shared by both
-/// execution tiers, so the tiers stay metric-identical).
-pub(crate) fn record_run_obs(
-    opts: &VmOptions,
-    steps: u64,
-    stats: &pmem_sim::MachineStats,
-    fuel: u64,
-    injector: &Option<pmfault::Injector>,
-) {
-    if !opts.obs.is_enabled() {
-        return;
-    }
-    opts.obs.add("vm.instructions", steps);
-    opts.obs.add("vm.pm_stores", stats.pm_stores);
-    opts.obs.add("vm.flushes", stats.total_flushes());
-    opts.obs.add("vm.fences", stats.fences);
-    opts.obs.add("vm.cycles", stats.cycles);
-    opts.obs.add("vm.fuel_left", fuel);
-    if let Some(inj) = injector {
-        opts.obs
-            .add("vm.injected_faults", inj.injected().len() as u64);
-    }
-}
-
-pub(crate) fn to_sim_flush(k: FlushKind) -> pmem_sim::FlushKind {
-    match k {
-        FlushKind::Clwb => pmem_sim::FlushKind::Clwb,
-        FlushKind::ClflushOpt => pmem_sim::FlushKind::ClflushOpt,
-        FlushKind::Clflush => pmem_sim::FlushKind::Clflush,
-    }
-}
-
-pub(crate) fn to_trace_flush(k: FlushKind) -> pmtrace::FlushKind {
-    match k {
-        FlushKind::Clwb => pmtrace::FlushKind::Clwb,
-        FlushKind::ClflushOpt => pmtrace::FlushKind::ClflushOpt,
-        FlushKind::Clflush => pmtrace::FlushKind::Clflush,
-    }
-}
-
-pub(crate) fn to_sim_fence(k: FenceKind) -> pmem_sim::FenceKind {
-    match k {
-        FenceKind::Sfence => pmem_sim::FenceKind::Sfence,
-        FenceKind::Mfence => pmem_sim::FenceKind::Mfence,
-    }
-}
-
-pub(crate) fn to_trace_fence(k: FenceKind) -> pmtrace::FenceKind {
-    match k {
-        FenceKind::Sfence => pmtrace::FenceKind::Sfence,
-        FenceKind::Mfence => pmtrace::FenceKind::Mfence,
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use pmir::{BinOp, CmpPred, FunctionBuilder, Type};
+    use pmir::{BinOp, CmpPred, FenceKind, FunctionBuilder, Type};
 
     fn run(m: &Module) -> RunResult {
-        Vm::new(VmOptions::default()).run(m, "main").unwrap()
+        run_both(m, VmOptions::default()).unwrap()
+    }
+
+    /// Runs `main` under `opts` on the reference and on the engine, asserts
+    /// that they agree on every [`RunResult`] field (down to the machine's
+    /// crash image and dirty and pending lines) or on the error, and
+    /// returns the engine's outcome.
+    pub(crate) fn run_both(m: &Module, opts: VmOptions) -> Result<RunResult, VmError> {
+        let reference = Vm::new(opts.clone()).run_reference(m, "main");
+        let engine = Vm::new(opts).run(m, "main");
+        let (Ok(a), Ok(b)) = (&reference, &engine) else {
+            assert_eq!(reference.as_ref().err(), engine.as_ref().err());
+            return engine;
+        };
+        assert_eq!(a.output, b.output, "output");
+        assert_eq!(a.return_value, b.return_value, "return value");
+        assert_eq!(a.ended, b.ended, "ended");
+        assert_eq!(a.steps, b.steps, "steps");
+        assert_eq!(a.stats, b.stats, "machine stats");
+        assert_eq!(a.trace, b.trace, "trace");
+        assert_eq!(a.pm_data, b.pm_data, "pm data");
+        let machine = |r: &RunResult| {
+            let m = &r.machine;
+            (m.crash_image(), m.dirty_pm_lines(), m.pending_pm_lines())
+        };
+        assert_eq!(machine(a), machine(b), "machine state");
+        engine
     }
 
     /// Builds `main` computing 10 iterations of a counting loop.
@@ -835,7 +706,7 @@ mod tests {
         b.print(v);
         b.ret(None);
         b.finish();
-        let err = Vm::new(VmOptions::default()).run(&m, "main").unwrap_err();
+        let err = run_both(&m, VmOptions::default()).unwrap_err();
         assert!(matches!(err, VmError::DivisionByZero { .. }));
     }
 
@@ -849,7 +720,7 @@ mod tests {
         b.store(Type::int(8), Operand::Null, 1i64);
         b.ret(None);
         b.finish();
-        let err = Vm::new(VmOptions::default()).run(&m, "main").unwrap_err();
+        let err = run_both(&m, VmOptions::default()).unwrap_err();
         assert!(matches!(err, VmError::Mem(_)));
     }
 
@@ -869,7 +740,7 @@ mod tests {
             max_steps: 1000,
             ..VmOptions::default()
         };
-        let err = Vm::new(opts).run(&m, "main").unwrap_err();
+        let err = run_both(&m, opts).unwrap_err();
         assert!(matches!(err, VmError::FuelExhausted { limit: 1000 }));
     }
 
@@ -892,7 +763,7 @@ mod tests {
     fn watchdog_fires_on_runaway_loop() {
         let m = spin_module();
         let opts = VmOptions::default().watchdog(20);
-        let err = Vm::new(opts).run(&m, "main").unwrap_err();
+        let err = run_both(&m, opts).unwrap_err();
         assert!(matches!(err, VmError::Watchdog { limit_ms: 20 }));
     }
 
@@ -909,7 +780,7 @@ mod tests {
                 FaultKind::StuckLoop,
             ));
         let t0 = std::time::Instant::now();
-        let err = Vm::new(opts).run(&m, "main").unwrap_err();
+        let err = run_both(&m, opts).unwrap_err();
         assert!(matches!(err, VmError::Watchdog { limit_ms: 20 }), "{err}");
         assert!(t0.elapsed().as_millis() < 5_000, "watchdog must not hang");
     }
@@ -923,7 +794,7 @@ mod tests {
             Trigger::Nth(0),
             FaultKind::StuckLoop,
         ));
-        let err = Vm::new(opts).run(&m, "main").unwrap_err();
+        let err = run_both(&m, opts).unwrap_err();
         assert!(matches!(err, VmError::BadOptions { .. }), "{err}");
     }
 
@@ -934,7 +805,7 @@ mod tests {
             max_steps: 0,
             ..VmOptions::default()
         };
-        let err = Vm::new(opts).run(&m, "main").unwrap_err();
+        let err = run_both(&m, opts).unwrap_err();
         assert!(matches!(err, VmError::BadOptions { .. }));
         // With a watchdog armed the message names the fuel requirement.
         let opts = VmOptions {
@@ -942,7 +813,7 @@ mod tests {
             ..VmOptions::default()
         }
         .watchdog(50);
-        let err = Vm::new(opts).run(&m, "main").unwrap_err();
+        let err = run_both(&m, opts).unwrap_err();
         match err {
             VmError::BadOptions { reason } => {
                 assert!(reason.contains("watchdog requires fuel"), "{reason}")
@@ -960,7 +831,7 @@ mod tests {
             Trigger::Always,
             FaultKind::FuelExhaustion { max_steps: 17 },
         ));
-        let err = Vm::new(opts).run(&m, "main").unwrap_err();
+        let err = run_both(&m, opts).unwrap_err();
         assert!(matches!(err, VmError::FuelExhausted { limit: 17 }), "{err}");
     }
 
@@ -977,9 +848,7 @@ mod tests {
         b.print(99i64); // never reached when stopping at crash point 1
         b.ret(None);
         b.finish();
-        let res = Vm::new(VmOptions::default().stop_at(1))
-            .run(&m, "main")
-            .unwrap();
+        let res = run_both(&m, VmOptions::default().stop_at(1)).unwrap();
         assert_eq!(res.ended, Ended::CrashPoint(1));
         assert!(res.output.is_empty());
         // The store never became durable.
@@ -999,14 +868,10 @@ mod tests {
         b.crash_point();
         b.ret(None);
         b.finish();
-        let err = Vm::new(VmOptions::default().stop_at(0))
-            .run(&m, "main")
-            .unwrap_err();
+        let err = run_both(&m, VmOptions::default().stop_at(0)).unwrap_err();
         assert!(matches!(err, VmError::BadOptions { .. }));
         // And 1 still means "the first crashpoint".
-        let res = Vm::new(VmOptions::default().stop_at(1))
-            .run(&m, "main")
-            .unwrap();
+        let res = run_both(&m, VmOptions::default().stop_at(1)).unwrap();
         assert_eq!(res.ended, Ended::CrashPoint(1));
     }
 
@@ -1022,9 +887,7 @@ mod tests {
         b.store(Type::int(8), pool, 7i64); // event 2 (never runs)
         b.ret(None);
         b.finish();
-        let res = Vm::new(VmOptions::default().stop_at_event(1))
-            .run(&m, "main")
-            .unwrap();
+        let res = run_both(&m, VmOptions::default().stop_at_event(1)).unwrap();
         assert_eq!(res.ended, Ended::AtEvent(1));
         assert_eq!(res.trace.as_ref().unwrap().len(), 2);
         // The first store executed (cache sees 5), the second did not.
@@ -1046,9 +909,7 @@ mod tests {
         b.memset(pool, 0xabi64, 4i64);
         b.ret(None);
         b.finish();
-        let res = Vm::new(VmOptions::default().capture_pm_data())
-            .run(&m, "main")
-            .unwrap();
+        let res = run_both(&m, VmOptions::default().capture_pm_data()).unwrap();
         let data = res.pm_data.unwrap();
         assert_eq!(data.len(), 2, "one record per PM-mutating event");
         assert_eq!(data.records[0].bytes, vec![1, 2, 3, 4, 5, 6, 7, 8]);
@@ -1070,7 +931,7 @@ mod tests {
         let m = Module::new();
         let mut opts = VmOptions::bench();
         opts.capture_pm_data = true;
-        let err = Vm::new(opts).run(&m, "main").unwrap_err();
+        let err = run_both(&m, opts).unwrap_err();
         assert!(matches!(err, VmError::BadOptions { .. }));
     }
 
@@ -1133,7 +994,7 @@ mod tests {
             evict_period: Some(1),
             ..VmOptions::default()
         };
-        let res = Vm::new(opts).run(&m, "main").unwrap();
+        let res = run_both(&m, opts).unwrap();
         // Every store evicted: the data is durable without any flush.
         assert_eq!(res.machine.crash_image().pool_bytes(0).unwrap()[0], 1);
     }
@@ -1141,7 +1002,7 @@ mod tests {
     #[test]
     fn missing_entry_reported() {
         let m = Module::new();
-        let err = Vm::new(VmOptions::default()).run(&m, "main").unwrap_err();
+        let err = run_both(&m, VmOptions::default()).unwrap_err();
         assert!(matches!(err, VmError::NoSuchFunction { .. }));
     }
 }

@@ -1,10 +1,15 @@
-//! `pmvm` — the interpreter that executes `pmir` programs on the `pmem-sim`
-//! machine.
+//! `pmvm` — the virtual machine that executes `pmir` programs on the
+//! `pmem-sim` machine.
 //!
 //! The VM plays the role of the instrumented native execution in the
 //! original Hippocrates toolchain: it runs the program, routes every memory
 //! operation through the simulated cache/PM model, and (optionally) emits
 //! the pmemcheck-style [`pmtrace::Trace`] the repair pipeline starts from.
+//!
+//! Every [`Vm::run`] executes on one engine: the program is decoded once
+//! into flat op arrays ([`DecodedModule`]) and run by direct-threaded
+//! dispatch. [`Vm::run_reference`] is an arena-walking reference
+//! interpreter, kept so tests can compare the engine against it.
 //!
 //! # Example
 //!
@@ -34,11 +39,12 @@
 
 pub mod decode;
 mod fastvm;
-pub mod interp;
+mod interp;
 pub mod options;
 pub mod result;
+mod vm;
 
 pub use decode::DecodedModule;
-pub use interp::Vm;
 pub use options::{ExecTier, VmOptions};
 pub use result::{Ended, RunResult, VmError};
+pub use vm::Vm;

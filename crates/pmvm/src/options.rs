@@ -2,42 +2,17 @@
 
 use pmem_sim::{CostModel, PmMedia};
 
-/// Which execution engine runs the program.
-///
-/// Both tiers implement identical semantics — same traces, same machine
-/// state, same errors, same observability counters — and the differential
-/// tier gate (`tests/tier_differential.rs`) holds them byte-identical.
+/// The execution engine. It has one variant: every [`crate::Vm::run`]
+/// goes through the decoded engine, and [`crate::Vm::run_reference`] is
+/// the reference that tests compare it against. The type is kept only
+/// because `pmexplore::ExploreOptions::tier` and `Oracle::check_opts` still
+/// carry one for the benchmark harness; both ignore it, and all three are
+/// to be deleted when that harness is refreshed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
-    /// The reference interpreter: walks the pmir arenas directly. Slower,
-    /// but the semantics baseline — keep it for debugging decoder issues
-    /// and for bringing up new opcodes before teaching the fast tier.
-    Interp,
-    /// Pre-decoded direct-threaded dispatch: the module is lowered to a
-    /// flat, register-indexed op array ([`crate::decode::DecodedModule`])
-    /// once per run, then executed with no per-step name lookups and no
-    /// per-event allocation on the untraced path.
+    /// Pre-decoded direct-threaded dispatch.
     #[default]
     Fast,
-}
-
-impl ExecTier {
-    /// Parses the CLI spelling (`interp` | `fast`).
-    pub fn parse(s: &str) -> Option<ExecTier> {
-        match s {
-            "interp" => Some(ExecTier::Interp),
-            "fast" => Some(ExecTier::Fast),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ExecTier::Interp => "interp",
-            ExecTier::Fast => "fast",
-        }
-    }
 }
 
 /// Configuration for a [`crate::Vm`] run.
@@ -81,7 +56,7 @@ pub struct VmOptions {
     pub watchdog_ms: Option<u64>,
     /// Deterministic fault plan ([`pmfault::FaultPlan`]) armed for this run:
     /// sim-level faults are forwarded to the machine, VM-level faults
-    /// (fuel tightening, stuck loops) are applied by the interpreter.
+    /// (fuel tightening, stuck loops) are applied by the VM.
     /// `None` (production) costs one branch per step.
     pub fault: Option<pmfault::FaultPlan>,
     /// Observability handle: when attached to a [`pmobs::Registry`], the VM
@@ -89,9 +64,6 @@ pub struct VmOptions {
     /// PM stores/flushes/fences, cycles, remaining fuel). The disabled
     /// default costs a single branch per run.
     pub obs: pmobs::Obs,
-    /// Execution engine. [`ExecTier::Fast`] by default; [`ExecTier::Interp`]
-    /// is the reference interpreter.
-    pub tier: ExecTier,
 }
 
 impl Default for VmOptions {
@@ -108,7 +80,6 @@ impl Default for VmOptions {
             watchdog_ms: None,
             fault: None,
             obs: pmobs::Obs::default(),
-            tier: ExecTier::default(),
         }
     }
 }
@@ -164,12 +135,6 @@ impl VmOptions {
         self.obs = obs;
         self
     }
-
-    /// Selects the execution tier (builder-style).
-    pub fn with_tier(mut self, tier: ExecTier) -> Self {
-        self.tier = tier;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -187,17 +152,5 @@ mod tests {
         let o = VmOptions::default().stop_at_event(7).capture_pm_data();
         assert_eq!(o.stop_at_event, Some(7));
         assert!(o.capture_pm_data);
-        let o = VmOptions::default().with_tier(ExecTier::Interp);
-        assert_eq!(o.tier, ExecTier::Interp);
-    }
-
-    #[test]
-    fn tier_parses_and_defaults_to_fast() {
-        assert_eq!(ExecTier::default(), ExecTier::Fast);
-        assert_eq!(ExecTier::parse("interp"), Some(ExecTier::Interp));
-        assert_eq!(ExecTier::parse("fast"), Some(ExecTier::Fast));
-        assert_eq!(ExecTier::parse("turbo"), None);
-        assert_eq!(ExecTier::Interp.as_str(), "interp");
-        assert_eq!(ExecTier::Fast.as_str(), "fast");
     }
 }

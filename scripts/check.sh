@@ -16,7 +16,7 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> differential tier gate (interp and fast must be observationally identical)"
+echo "==> differential engine gate (the VM and the reference interpreter agree on every run)"
 cargo test -q --release -p system-tests --test tier_differential
 
 echo "==> perfbench build + self-tests (its own workspace: --workspace never compiles it)"
@@ -31,9 +31,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo clippy (lib targets) -- -D clippy::unwrap_used on the input paths"
 # The trace-ingest, checker, repair-engine, PM-simulator and explorer
-# crates, and the metrics and journal readers, must never unwrap on their
-# production paths: corrupted inputs are routed into the error taxonomy.
-cargo clippy -p pmtrace -p pmcheck -p hippocrates -p pmem-sim -p pmexplore -p pmobs -p pmtx --no-deps -- -D clippy::unwrap_used
+# crates, the metrics and journal readers, the VM (crash images), the
+# front ends (.pmc source, .ir files) and the daemon (network frames,
+# journals) must never unwrap on their production paths: corrupted inputs
+# are routed into the error taxonomy.
+cargo clippy -p pmtrace -p pmcheck -p hippocrates -p pmem-sim -p pmexplore -p pmobs -p pmtx \
+    -p pmvm -p pmlang -p pmir -p hippod --no-deps -- -D clippy::unwrap_used
 
 echo "==> hippoctl lint --deny warnings examples/"
 target/release/hippoctl lint --deny warnings examples/

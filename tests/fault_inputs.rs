@@ -123,7 +123,7 @@ proptest! {
     fn truncated_trace_json_is_structured(cut in any::<usize>()) {
         let json = sample_trace().to_json().expect("serializes");
         let end = (0..=cut % (json.len() + 1)).rev().find(|&i| json.is_char_boundary(i)).unwrap_or(0);
-        match Trace::from_json_diagnostic(&json[..end]) {
+        match Trace::from_json(&json[..end]) {
             Ok(t) => prop_assert_eq!(t, sample_trace()),
             Err(TraceError::Json { message }) => prop_assert!(!message.is_empty()),
             Err(other) => prop_assert!(false, "unexpected taxonomy branch: {}", other),

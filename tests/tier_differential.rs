@@ -1,118 +1,103 @@
-//! Differential tier gate: the fast execution tier must be observationally
-//! identical to the reference interpreter, end to end.
+//! Differential engine gate: the VM's engine ([`Vm::run`]) must be
+//! observationally identical to the reference interpreter
+//! ([`Vm::run_reference`]) on every run the pipeline makes.
 //!
-//! The contract (locked in CI — `scripts/check.sh` runs this file on every
-//! change): for any program, `ExecTier::Interp` and `ExecTier::Fast`
-//! produce
+//! The checker, the explorer and the repair engine see a program only
+//! through the [`RunResult`]s of its runs, so engines that agree on every
+//! run agree end to end. For each module this compares every `RunResult`
+//! field of the two (or their errors) on
 //!
-//! 1. byte-identical traces and PM data logs (every event, every stack,
-//!    every captured store byte),
-//! 2. identical dynamic-checker bug sets,
-//! 3. identical exploration reports — including the crash-image content
-//!    digests (`Finding::image_hash`) and every counter,
-//! 4. identical repair outcomes: the same fixes, and the same fixed module
-//!    bit-for-bit (snapshot digest).
+//! 1. the traced run with PM-data capture, which the checker and the
+//!    explorer start from, and
+//! 2. an untraced recovery boot on every crash image the explorer samples
+//!    from that run (budget 96, seed 0), which the recovery oracle judges.
 //!
-//! Anything the fast tier gets wrong that the VM-level differential tests
-//! in `pmvm` miss (decode bugs that only bite under exploration workloads,
-//! tier-dependent iteration order leaking into findings) fails here on the
-//! real app corpus and on a randomized publish-pattern family.
+//! Repair cases check the fixed module the same way. The corpus is the real
+//! app corpus plus a randomized publish-pattern family.
 
 use hippocrates::{BugSource, Hippocrates, RepairOptions};
-use pmexplore::{run_and_explore, ExploreOptions};
-use pmvm::{ExecTier, VmOptions};
+use pmexplore::{frontiers, sample, ExploreOptions, Oracle, Replayer};
+use pmvm::{RunResult, Vm, VmOptions};
 use proptest::prelude::*;
 
-fn explore_opts(tier: ExecTier) -> ExploreOptions {
-    ExploreOptions {
-        budget: 96,
-        seed: 0,
-        jobs: 1,
-        tier,
-        ..ExploreOptions::default()
+/// Runs `entry` under `opts` on the reference and on the engine and
+/// asserts the two agree on every [`RunResult`] field, or on the error.
+fn run_both(tag: &str, m: &pmir::Module, entry: &str, opts: VmOptions) -> Option<RunResult> {
+    let reference = Vm::new(opts.clone()).run_reference(m, entry);
+    let engine = Vm::new(opts).run(m, entry);
+    let (a, b) = match (reference, engine) {
+        (Ok(a), Ok(b)) => (a, b),
+        (a, b) => {
+            assert_eq!(a.err(), b.err(), "{tag}: errors diverge");
+            return None;
+        }
+    };
+    assert_eq!(a.output, b.output, "{tag}: output diverges");
+    assert_eq!(
+        a.return_value, b.return_value,
+        "{tag}: return values diverge"
+    );
+    assert_eq!(a.ended, b.ended, "{tag}: end states diverge");
+    assert_eq!(a.stats, b.stats, "{tag}: machine stats diverge");
+    assert_eq!(a.trace, b.trace, "{tag}: traces diverge");
+    assert_eq!(a.pm_data, b.pm_data, "{tag}: PM data logs diverge");
+    assert_eq!(a.steps, b.steps, "{tag}: step counts diverge");
+    let machine = |r: &RunResult| {
+        let m = &r.machine;
+        (m.crash_image(), m.dirty_pm_lines(), m.pending_pm_lines())
+    };
+    assert_eq!(machine(&a), machine(&b), "{tag}: machine states diverge");
+    Some(b)
+}
+
+/// Compares the engines on the traced run of `entry` and on a recovery
+/// boot of every sampled crash image of it.
+fn assert_engines_agree(tag: &str, m: &pmir::Module, entry: &str) {
+    let traced = run_both(tag, m, entry, VmOptions::default().capture_pm_data())
+        .unwrap_or_else(|| panic!("{tag}: the traced run trapped"));
+    let trace = traced.trace.expect("tracing was on");
+    let data = traced.pm_data.expect("capture was on");
+    let mut candidates = sample(&frontiers(&trace, &data, None), 96, 0);
+    assert!(!candidates.is_empty(), "{tag}: no crash states to boot");
+    // The replayer only moves forward.
+    candidates.sort_by_key(|c| c.after_seq);
+    let oracle = Oracle::default_for(m, entry);
+    let boot = VmOptions {
+        trace: false,
+        max_steps: ExploreOptions::default().max_recovery_steps,
+        ..VmOptions::default()
+    };
+    let mut replayer = Replayer::new(&trace, &data, None);
+    for c in &candidates {
+        replayer.advance_to(c.after_seq);
+        let image = replayer.image_with(&c.lines).into_media();
+        let tag = format!("{tag}: boot after event {} with {:?}", c.after_seq, c.lines);
+        run_both(&tag, m, &oracle.entry, boot.clone().with_media(image));
     }
 }
 
-/// Asserts contracts (1)–(3) for one module: both tiers run the checker
-/// and the explorer; every observable must match.
-fn assert_tiers_agree(tag: &str, m: &pmir::Module, entry: &str) {
-    let checked = |tier| {
-        let opts = VmOptions {
-            tier,
-            ..VmOptions::default()
-        };
-        pmcheck::run_and_check(m, entry, opts)
-            .unwrap_or_else(|e| panic!("{tag}: {tier:?} checker run failed: {e}"))
-    };
-    let (ci, cf) = (checked(ExecTier::Interp), checked(ExecTier::Fast));
-    assert_eq!(ci.report, cf.report, "{tag}: dynamic bug sets diverge");
-    assert_eq!(
-        ci.run.output, cf.run.output,
-        "{tag}: observable output diverges"
-    );
-    assert_eq!(
-        ci.run.return_value, cf.run.return_value,
-        "{tag}: return values diverge"
-    );
-    assert_eq!(ci.run.ended, cf.run.ended, "{tag}: end states diverge");
-    assert_eq!(ci.run.stats, cf.run.stats, "{tag}: machine stats diverge");
-    assert_eq!(
-        ci.trace.events, cf.trace.events,
-        "{tag}: checker traces diverge"
-    );
-
-    let explored = |tier| {
-        run_and_explore(m, entry, &explore_opts(tier))
-            .unwrap_or_else(|e| panic!("{tag}: {tier:?} exploration failed: {e}"))
-    };
-    let (xi, xf) = (explored(ExecTier::Interp), explored(ExecTier::Fast));
-    assert_eq!(
-        xi.trace.events, xf.trace.events,
-        "{tag}: traces diverge between tiers"
-    );
-    assert_eq!(xi.data, xf.data, "{tag}: PM data logs diverge");
-    // Report equality covers findings (with their crash-image content
-    // digests), all counters, and diagnostics.
-    assert_eq!(xi.report, xf.report, "{tag}: exploration reports diverge");
-}
-
-/// Asserts contract (4): repair under either tier applies the same fixes
-/// and produces a bit-identical fixed module.
+/// Repairs `m` against exploration, then compares the engines on the
+/// fixed module.
 fn assert_repair_agrees(tag: &str, m: &pmir::Module, entry: &str) {
-    let repaired = |tier| {
-        let mut m = m.clone();
-        let outcome = Hippocrates::new(RepairOptions {
-            bug_source: BugSource::Exploration,
-            explore_budget: 96,
-            explore_jobs: 1,
-            tier,
-            ..RepairOptions::default()
-        })
-        .repair_until_clean(&mut m, entry)
-        .unwrap_or_else(|e| panic!("{tag}: {tier:?} repair failed: {e}"));
-        (pmir::snapshot::digest_hex(&m), outcome)
-    };
-    let ((di, oi), (df, of)) = (repaired(ExecTier::Interp), repaired(ExecTier::Fast));
-    assert_eq!(di, df, "{tag}: fixed modules diverge between tiers");
-    assert_eq!(oi.clean, of.clean, "{tag}: repair convergence diverges");
-    assert_eq!(
-        oi.fixes.len(),
-        of.fixes.len(),
-        "{tag}: applied fix counts diverge"
-    );
-    assert_eq!(
-        oi.iterations, of.iterations,
-        "{tag}: iteration counts diverge"
-    );
+    let mut m = m.clone();
+    Hippocrates::new(RepairOptions {
+        bug_source: BugSource::Exploration,
+        explore_budget: 96,
+        explore_jobs: 1,
+        ..RepairOptions::default()
+    })
+    .repair_until_clean(&mut m, entry)
+    .unwrap_or_else(|e| panic!("{tag}: repair failed: {e}"));
+    assert_engines_agree(&format!("{tag} (fixed)"), &m, entry);
 }
 
 #[test]
 fn pclht_tiers_identical() {
     let m = pmapps::pclht::build_correct().expect("pclht builds");
-    assert_tiers_agree("pclht-correct", &m, pmapps::pclht::ENTRY);
+    assert_engines_agree("pclht-correct", &m, pmapps::pclht::ENTRY);
     for id in pmapps::pclht::BUG_IDS {
         let m = pmapps::pclht::build_buggy(id).expect("buggy pclht builds");
-        assert_tiers_agree(&format!("pclht-{id}"), &m, pmapps::pclht::ENTRY);
+        assert_engines_agree(&format!("pclht-{id}"), &m, pmapps::pclht::ENTRY);
     }
 }
 
@@ -127,17 +112,17 @@ fn pclht_repair_identical_across_tiers() {
 #[test]
 fn memcached_tiers_identical() {
     let m = pmapps::memcached::build_correct().expect("memcached builds");
-    assert_tiers_agree("memcached-correct", &m, pmapps::memcached::ENTRY);
+    assert_engines_agree("memcached-correct", &m, pmapps::memcached::ENTRY);
     // Two representative injected bugs; the full ten run in corpus tests.
     for id in &pmapps::memcached::BUG_IDS[..2] {
         let m = pmapps::memcached::build_buggy(id).expect("buggy memcached builds");
-        assert_tiers_agree(&format!("memcached-{id}"), &m, pmapps::memcached::ENTRY);
+        assert_engines_agree(&format!("memcached-{id}"), &m, pmapps::memcached::ENTRY);
     }
 }
 
 /// The `explore_do_no_harm` publish-pattern family, reused as a randomized
-/// tier-differential corpus: every generated program must explore and
-/// repair identically under both tiers.
+/// differential corpus: every generated program, and its repair, must run
+/// identically on both engines.
 fn program(n_keys: u8, mask: u8) -> String {
     let mut body = String::new();
     for k in 0..n_keys {
@@ -175,7 +160,7 @@ proptest! {
     fn random_publish_programs_are_tier_identical(n_keys in 1u8..5, mask in 0u8..=255) {
         let src = program(n_keys, mask);
         let m = pmlang::compile_one("t.pmc", &src).expect("family compiles");
-        assert_tiers_agree(&format!("publish-{n_keys}-{mask:#x}"), &m, "main");
+        assert_engines_agree(&format!("publish-{n_keys}-{mask:#x}"), &m, "main");
     }
 
     #[test]
