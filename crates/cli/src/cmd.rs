@@ -462,9 +462,9 @@ fn lint_group(
                 .filter_map(|r| r.loc.as_ref()),
         )
     {
-        if !texts.contains_key(&loc.file) && !loc.file.starts_with('<') {
-            if let Ok(t) = std::fs::read_to_string(&loc.file) {
-                texts.insert(loc.file.clone(), t);
+        if !texts.contains_key(&*loc.file) && !loc.file.starts_with('<') {
+            if let Ok(t) = std::fs::read_to_string(&*loc.file) {
+                texts.insert(loc.file.to_string(), t);
             }
         }
     }
@@ -474,9 +474,9 @@ fn lint_group(
         let findings = pmredund::analyze_module(&m, entry).map_err(|e| e.to_string())?;
         for f in &findings {
             if let Some(loc) = &f.loc {
-                if !texts.contains_key(&loc.file) && !loc.file.starts_with('<') {
-                    if let Ok(t) = std::fs::read_to_string(&loc.file) {
-                        texts.insert(loc.file.clone(), t);
+                if !texts.contains_key(&*loc.file) && !loc.file.starts_with('<') {
+                    if let Ok(t) = std::fs::read_to_string(&*loc.file) {
+                        texts.insert(loc.file.to_string(), t);
                     }
                 }
             }
@@ -547,11 +547,7 @@ fn render_lint(
         };
         let _ = writeln!(s, "warning: {}: {what}", bug.kind);
         excerpt(&mut s, bug.store_loc.as_ref(), texts, &{
-            let func = bug
-                .store_at
-                .as_ref()
-                .map(|at| at.function.as_str())
-                .unwrap_or("?");
+            let func = bug.store_at.as_ref().map(|at| &*at.function).unwrap_or("?");
             match bug.len {
                 0 => format!("store in `{func}`"),
                 n => format!("store of {n} byte(s) in `{func}`"),
@@ -601,7 +597,7 @@ fn excerpt(
     };
     let _ = writeln!(s, "  --> {}:{}:{}", loc.file, loc.line, loc.col.max(1));
     let line = texts
-        .get(&loc.file)
+        .get(&*loc.file)
         .and_then(|t| t.lines().nth(loc.line.saturating_sub(1) as usize));
     if let Some(line) = line {
         let num = loc.line.to_string();

@@ -269,7 +269,7 @@ impl Hippocrates {
                 .first()
                 .and_then(|s| m.function(s.func).inst(s.store).loc)
                 .map(|l| pmtrace::TraceLoc {
-                    file: m.file_name(l.file).to_string(),
+                    file: m.file_name(l.file).into(),
                     line: l.line,
                     col: l.col,
                 });

@@ -53,7 +53,7 @@ pub fn find_store_by_loc(m: &Module, function: &str, loc: &TraceLoc) -> Option<(
     let f = m.function(fid);
     let file_id = (0..m.files().len() as u32)
         .map(pmir::FileId)
-        .find(|&fi| m.file_name(fi) == loc.file)?;
+        .find(|&fi| m.file_name(fi) == &*loc.file)?;
     for (_, i) in f.linked_insts() {
         let inst = f.inst(i);
         if !inst.op.is_pm_storeish() {
@@ -83,7 +83,7 @@ pub fn locate(m: &Module, bug: &Bug) -> Result<BugSite, LocateError> {
         .and_then(|at| resolve_ir_ref(m, at))
         .or_else(|| {
             let loc = bug.store_loc.as_ref()?;
-            let f = bug.stack.first().map(|f| f.function.as_str())?;
+            let f = bug.stack.first().map(|f| &*f.function)?;
             find_store_by_loc(m, f, loc)
         })
         .ok_or_else(|| LocateError {

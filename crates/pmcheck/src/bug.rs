@@ -3,6 +3,7 @@
 use pmtrace::{Frame, IrRef, TraceLoc};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The durability-bug taxonomy of paper §2.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -100,8 +101,9 @@ pub struct Bug {
     pub store_at: Option<IrRef>,
     /// Source location of the store.
     pub store_loc: Option<TraceLoc>,
-    /// Call stack at the store, innermost first.
-    pub stack: Vec<Frame>,
+    /// Call stack at the store, innermost first (shared with the store's
+    /// trace event).
+    pub stack: Arc<[Frame]>,
     /// Trace sequence number of the store event.
     pub store_seq: u64,
     /// The checkpoint at which the bug was detected.
@@ -141,7 +143,7 @@ impl Bug {
 /// A bug identity refined by its call path: the stack's `(function,
 /// call_inst)` spine plus the store-site [`Bug::dedup_key`].
 pub type PathKey = (
-    Vec<(String, Option<u32>)>,
+    Vec<(Arc<str>, Option<u32>)>,
     (Option<IrRef>, BugKind, Checkpoint),
 );
 
@@ -332,7 +334,7 @@ mod tests {
                 inst,
             }),
             store_loc: None,
-            stack: vec![],
+            stack: [].into(),
             store_seq: 1,
             checkpoint: cp,
             unflushed_lines: vec![],
@@ -386,7 +388,8 @@ mod tests {
                     call_inst: Some(call_inst),
                     loc: None,
                 },
-            ];
+            ]
+            .into();
             b
         };
         let report = CheckReport {

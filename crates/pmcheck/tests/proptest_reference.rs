@@ -1,9 +1,10 @@
 //! Differential property test: the production checker agrees with an
 //! independent, naive reference implementation of the durability state
 //! machine on random event streams — the whole report, not just the bug
-//! kinds.
+//! kinds — and the streaming [`OnlineChecker`] agrees with the batch
+//! [`check_trace`] on every stream, report for report.
 
-use pmcheck::{check_trace, BugKind, CheckReport, Checkpoint};
+use pmcheck::{check_trace, BugKind, CheckReport, Checkpoint, OnlineChecker};
 use pmtrace::{Event, EventKind, FenceKind, FlushKind, Trace};
 use proptest::prelude::*;
 
@@ -23,6 +24,21 @@ enum TOp {
     /// One flush at the first byte of each of the first `SWEEP_LINES`
     /// lines, so that stores of more than 64 lines can become durable.
     Sweep {
+        strong: bool,
+    },
+    /// `n` stores of `len` bytes, one at the first byte of each line from
+    /// `line` on.
+    StoreTrain {
+        line: u64,
+        n: u64,
+        len: u64,
+    },
+    /// `n` flushes, one at byte `byte` of each line from `line` on: the
+    /// flush-then-fence idiom over a whole region.
+    FlushTrain {
+        line: u64,
+        n: u64,
+        byte: u64,
         strong: bool,
     },
     Fence,
@@ -63,13 +79,50 @@ fn wide_op_strategy() -> impl Strategy<Value = TOp> {
     ]
 }
 
-/// `ops` with every sweep spelled out as its flushes: one op per event.
+/// Lines the train family spreads over.
+const TRAIN_LINES: u64 = 2048;
+
+/// Stores and flushes over `TRAIN_LINES` lines, trains of them up to 1200
+/// lines long, stores of up to 200 lines (past the 64-line mask word),
+/// and sparse fences and crash points.
+fn train_op_strategy() -> impl Strategy<Value = TOp> {
+    let len = prop_oneof![
+        6 => 1u64..160,
+        1 => Just(64 * 64),
+        1 => Just(65 * 64),
+        2 => 65 * 64..200 * 64u64,
+    ];
+    prop_oneof![
+        4 => (0..TRAIN_LINES * 64, len).prop_map(|(off, len)| TOp::Store { off, len }),
+        4 => (0..TRAIN_LINES * 64, any::<bool>()).prop_map(|(off, strong)| TOp::Flush { off, strong }),
+        2 => (0..TRAIN_LINES, 1u64..1200, 1u64..72)
+            .prop_map(|(line, n, len)| TOp::StoreTrain { line, n, len }),
+        2 => (0..TRAIN_LINES, 1u64..1200, 0u64..64, any::<bool>())
+            .prop_map(|(line, n, byte, strong)| TOp::FlushTrain { line, n, byte, strong }),
+        1 => Just(TOp::Fence),
+        1 => Just(TOp::CrashPoint),
+    ]
+}
+
+/// `ops` with every sweep and train spelled out: one op per event.
 fn expand(ops: &[TOp]) -> Vec<TOp> {
     let mut out = vec![];
     for op in ops {
         match *op {
             TOp::Sweep { strong } => out.extend((0..SWEEP_LINES).map(|line| TOp::Flush {
                 off: line * 64,
+                strong,
+            })),
+            TOp::StoreTrain { line, n, len } => {
+                out.extend((line..line + n).map(|l| TOp::Store { off: l * 64, len }))
+            }
+            TOp::FlushTrain {
+                line,
+                n,
+                byte,
+                strong,
+            } => out.extend((line..line + n).map(|l| TOp::Flush {
+                off: l * 64 + byte,
                 strong,
             })),
             ref op => out.push(op.clone()),
@@ -87,7 +140,7 @@ fn to_trace(ops: &[TOp]) -> Trace {
             kind,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         });
         seq += 1;
     };
@@ -109,11 +162,29 @@ fn to_trace(ops: &[TOp]) -> Trace {
                 kind: FenceKind::Sfence,
             }),
             TOp::CrashPoint => push(EventKind::CrashPoint),
-            TOp::Sweep { .. } => unreachable!("expanded"),
+            TOp::Sweep { .. } | TOp::StoreTrain { .. } | TOp::FlushTrain { .. } => {
+                unreachable!("expanded")
+            }
         }
     }
     push(EventKind::ProgramEnd);
     t
+}
+
+/// Checks `trace` in batch and streaming form, asserts the two reports are
+/// equal, and returns it.
+fn check_both(trace: &Trace) -> CheckReport {
+    let report = check_trace(trace);
+    let mut online = OnlineChecker::new();
+    for e in &trace.events {
+        online.feed(e);
+    }
+    assert_eq!(
+        online.finish(),
+        report,
+        "streaming and batch reports differ"
+    );
+    report
 }
 
 /// Everything a report says, in the form the reference produces it.
@@ -232,7 +303,9 @@ fn reference(ops: &[TOp]) -> Summary {
                     &mut out,
                 );
             }
-            TOp::Sweep { .. } => unreachable!("expanded"),
+            TOp::Sweep { .. } | TOp::StoreTrain { .. } | TOp::FlushTrain { .. } => {
+                unreachable!("expanded")
+            }
         }
     }
     audit(&live, last_fence, Checkpoint::ProgramEnd, &mut out);
@@ -244,7 +317,7 @@ proptest! {
 
     #[test]
     fn checker_matches_reference(ops in proptest::collection::vec(wide_op_strategy(), 0..60)) {
-        let report = check_trace(&to_trace(&ops));
+        let report = check_both(&to_trace(&ops));
         prop_assert_eq!(summarize(&report), reference(&ops), "ops: {:?}", ops);
     }
 
@@ -266,5 +339,32 @@ proptest! {
             .filter(|b| matches!(b.checkpoint, Checkpoint::ProgramEnd))
             .count();
         prop_assert_eq!(end_bugs, 0, "{}", report.render());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A train of at least 1024 stores and, later, a flush train of at
+    /// least 1024 lines, between random ops from the same family: the
+    /// shape of every publish loop, at a size where a per-flush scan of all
+    /// live stores would be quadratic.
+    #[test]
+    fn long_flush_trains_match_reference(
+        pre in proptest::collection::vec(train_op_strategy(), 0..6),
+        stores in (0..TRAIN_LINES / 2, 1024u64..1100, 1u64..72),
+        mid in proptest::collection::vec(train_op_strategy(), 0..6),
+        flushes in (0..TRAIN_LINES / 2, 1024u64..1100, 0u64..64, any::<bool>()),
+        post in proptest::collection::vec(train_op_strategy(), 0..6),
+    ) {
+        let (line, n, len) = stores;
+        let mut ops = pre;
+        ops.push(TOp::StoreTrain { line, n, len });
+        ops.extend(mid);
+        let (line, n, byte, strong) = flushes;
+        ops.push(TOp::FlushTrain { line, n, byte, strong });
+        ops.extend(post);
+        let report = check_both(&to_trace(&ops));
+        prop_assert_eq!(summarize(&report), reference(&ops), "ops: {:?}", ops);
     }
 }

@@ -903,7 +903,7 @@ impl<'m> RedundAnalysis<'m> {
     fn trace_loc(&self, f: FuncId, i: InstId) -> Option<TraceLoc> {
         let func = self.m.function(f);
         func.inst(i).loc.map(|l| TraceLoc {
-            file: self.m.file_name(l.file).to_string(),
+            file: self.m.file_name(l.file).into(),
             line: l.line,
             col: l.col,
         })

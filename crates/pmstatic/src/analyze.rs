@@ -313,7 +313,7 @@ impl<'m> StaticChecker<'m> {
             index: HashMap::new(),
             low: HashMap::new(),
             on_stack: HashSet::new(),
-            stack: vec![],
+            stack: [].into(),
             next: 0,
             sccs: vec![],
         };
@@ -776,15 +776,15 @@ impl<'m> StaticChecker<'m> {
                 addr: 0,
                 len: fact.len.unwrap_or(0),
                 store_at: Some(IrRef {
-                    function: ofunc.name().to_string(),
+                    function: ofunc.name().into(),
                     inst: oi.0,
                 }),
                 store_loc: ofunc.inst(oi).loc.map(|l| TraceLoc {
-                    file: self.m.file_name(l.file).to_string(),
+                    file: self.m.file_name(l.file).into(),
                     line: l.line,
                     col: l.col,
                 }),
-                stack: vec![],
+                stack: [].into(),
                 store_seq: 0,
                 checkpoint,
                 unflushed_lines: vec![],
@@ -846,11 +846,11 @@ impl<'m> StaticChecker<'m> {
             sink.redundant.push(pmcheck::bug::RedundantFlush {
                 addr: 0,
                 at: Some(IrRef {
-                    function: func.name().to_string(),
+                    function: func.name().into(),
                     inst: i.0,
                 }),
                 loc: func.inst(i).loc.map(|l| TraceLoc {
-                    file: self.m.file_name(l.file).to_string(),
+                    file: self.m.file_name(l.file).into(),
                     line: l.line,
                     col: l.col,
                 }),

@@ -202,7 +202,7 @@ mod tests {
         assert_eq!(r.bugs.len(), 1);
         assert_eq!(r.bugs[0].kind, BugKind::MissingFlushFence);
         let at = r.bugs[0].store_at.as_ref().unwrap();
-        assert_eq!(at.function, "set", "repair must anchor at the real store");
+        assert_eq!(&*at.function, "set", "repair must anchor at the real store");
     }
 
     #[test]

@@ -1,6 +1,16 @@
 //! Trace events.
+//!
+//! Names and call stacks are shared, not owned: [`Frame::function`],
+//! [`IrRef::function`] and [`TraceLoc::file`] are `Arc<str>`, and
+//! [`Event::stack`] is an `Arc<[Frame]>`. The VM interns each function and
+//! file name once per run and builds one stack per activation, so every
+//! event emitted inside that activation points at the same allocation, and
+//! cloning an event (or a bug that quotes it) copies pointers, not strings.
+//! The wire formats do not see the difference: an `Arc<str>` serializes as
+//! the string it holds.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A flush instruction kind as recorded in traces (tool-neutral mirror of
 /// `pmir::FlushKind`).
@@ -35,7 +45,7 @@ pub enum FenceKind {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TraceLoc {
     /// Source file name.
-    pub file: String,
+    pub file: Arc<str>,
     /// 1-based line.
     pub line: u32,
     /// 1-based column, 0 when unknown.
@@ -54,7 +64,7 @@ impl std::fmt::Display for TraceLoc {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct IrRef {
     /// Containing function name.
-    pub function: String,
+    pub function: Arc<str>,
     /// `pmir::InstId` index within the function.
     pub inst: u32,
 }
@@ -64,7 +74,7 @@ pub struct IrRef {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Frame {
     /// The frame's function name.
-    pub function: String,
+    pub function: Arc<str>,
     /// For non-innermost frames: the call instruction (in *this* frame's
     /// function) that entered the next-inner frame. `None` for the innermost
     /// frame.
@@ -122,8 +132,9 @@ pub struct Event {
     pub at: Option<IrRef>,
     /// Source location of that instruction, when known.
     pub loc: Option<TraceLoc>,
-    /// Call stack, innermost first.
-    pub stack: Vec<Frame>,
+    /// Call stack, innermost first. Shared: the VM gives every event of
+    /// one activation the same stack.
+    pub stack: Arc<[Frame]>,
 }
 
 /// An ordered list of events — the bug-finder's execution log.
@@ -256,7 +267,7 @@ mod tests {
             kind: EventKind::ProgramEnd,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         };
         let mut t: Trace = std::iter::once(e.clone()).collect();
         t.extend(std::iter::once(e));
@@ -289,14 +300,14 @@ mod tests {
             kind: EventKind::Store { addr: 64, len: 8 },
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         };
         let end = Event {
             seq: 0,
             kind: EventKind::ProgramEnd,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         };
         let mut t = Trace::new();
         for (i, mut e) in [store.clone(), store, end.clone(), end]
@@ -322,14 +333,14 @@ mod tests {
             kind: EventKind::Store { addr: 64, len: 8 },
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         });
         t.push(Event {
             seq: 1,
             kind: EventKind::ProgramEnd,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         });
         assert!(t.validate().is_empty());
     }

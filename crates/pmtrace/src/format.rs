@@ -57,7 +57,7 @@ mod tests {
             kind,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         };
         let t: Trace = [
             mk(EventKind::Store { addr: 0x30, len: 8 }),

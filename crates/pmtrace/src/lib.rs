@@ -50,7 +50,8 @@ mod tests {
                 function: "main".into(),
                 call_inst: None,
                 loc: None,
-            }],
+            }]
+            .into(),
         });
         t.push(Event {
             seq: 1,
@@ -82,14 +83,15 @@ mod tests {
                         col: 3,
                     }),
                 },
-            ],
+            ]
+            .into(),
         });
         t.push(Event {
             seq: 2,
             kind: EventKind::ProgramEnd,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         });
         t
     }

@@ -94,7 +94,7 @@ pub fn to_log(trace: &Trace) -> String {
                 .stack
                 .iter()
                 .map(|f| {
-                    let mut s = f.function.clone();
+                    let mut s = f.function.to_string();
                     if let Some(ci) = f.call_inst {
                         let _ = write!(s, "@{ci}");
                     }
@@ -208,8 +208,10 @@ fn from_log_inner(text: &str) -> Result<Trace, LogError> {
             None => None,
         };
         let stack = match get("stack") {
-            Some(v) => parse_stack(v).ok_or_else(|| err(format!("bad stack `{v}`")))?,
-            None => vec![],
+            Some(v) => parse_stack(v)
+                .ok_or_else(|| err(format!("bad stack `{v}`")))?
+                .into(),
+            None => [].into(),
         };
 
         trace.push(Event {
@@ -299,7 +301,7 @@ fn parse_fence(s: &str) -> Option<FenceKind> {
 fn parse_at(s: &str) -> Option<IrRef> {
     let (f, i) = s.rsplit_once('#')?;
     Some(IrRef {
-        function: f.to_string(),
+        function: f.into(),
         inst: i.parse().ok()?,
     })
 }
@@ -308,7 +310,7 @@ fn parse_loc(s: &str) -> Option<TraceLoc> {
     let mut it = s.rsplitn(3, ':');
     let col: u32 = it.next()?.parse().ok()?;
     let line: u32 = it.next()?.parse().ok()?;
-    let file = it.next()?.to_string();
+    let file = it.next()?.into();
     Some(TraceLoc { file, line, col })
 }
 
@@ -324,8 +326,8 @@ fn parse_stack(s: &str) -> Option<Vec<Frame>> {
             None => (part, None),
         };
         let (function, call_inst) = match head.split_once('@') {
-            Some((f, ci)) => (f.to_string(), Some(ci.parse().ok()?)),
-            None => (head.to_string(), None),
+            Some((f, ci)) => (f.into(), Some(ci.parse().ok()?)),
+            None => (head.into(), None),
         };
         frames.push(Frame {
             function,
@@ -362,7 +364,8 @@ mod tests {
                 function: "main".into(),
                 call_inst: None,
                 loc: None,
-            }],
+            }]
+            .into(),
         });
         t.push(Event {
             seq: 1,
@@ -390,7 +393,8 @@ mod tests {
                         col: 5,
                     }),
                 },
-            ],
+            ]
+            .into(),
         });
         t.push(Event {
             seq: 2,
@@ -400,7 +404,7 @@ mod tests {
             },
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         });
         t.push(Event {
             seq: 3,
@@ -409,14 +413,14 @@ mod tests {
             },
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         });
         t.push(Event {
             seq: 4,
             kind: EventKind::ProgramEnd,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         });
         t
     }
@@ -512,7 +516,7 @@ mod tests {
             kind,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: [].into(),
         });
         events.collect::<Trace>().to_json().expect("serializes")
     }

@@ -10,9 +10,11 @@
 //! Tracing is abstracted behind [`EventSink`], a compile-time switch: the
 //! run loop is monomorphized once over [`TraceSink`] (tracing on) and once
 //! over [`NullSink`]. With the null sink, event emission — including the
-//! stack capture and its per-event allocations — compiles away entirely,
-//! which is what makes recovery-oracle boots during crash-state exploration
-//! nearly free.
+//! stack capture — compiles away entirely, which is what makes
+//! recovery-oracle boots during crash-state exploration nearly free. With
+//! the trace sink, an event costs its own slot in the trace and nothing
+//! more: names are interned once per run, and each activation's call stack
+//! is built on its first event and shared by every later one.
 
 use crate::decode::{DecOp, DecodedFunc, DecodedModule, OpMeta, Src, NO_DST};
 use crate::options::VmOptions;
@@ -20,14 +22,28 @@ use crate::result::{Ended, RunResult, VmError};
 use crate::vm::Boot;
 use pmem_sim::{layout, Machine};
 use pmir::Module;
-use pmtrace::{DataLog, Event, EventKind, IrRef, Trace, TraceLoc};
+use pmtrace::{DataLog, Event, EventKind, Frame, IrRef, Trace, TraceLoc};
+use std::sync::Arc;
 
 /// Compile-time tracing switch for the engine's run loop.
 pub(crate) trait EventSink {
     /// Whether events are recorded at all. `false` makes every emission
     /// site compile away.
     const ENABLED: bool;
-    fn push(&mut self, ev: Event);
+    /// Records event `seq`, raised by the op `at` of the innermost of
+    /// `frames`.
+    fn record(
+        &mut self,
+        seq: u64,
+        kind: EventKind,
+        at: Option<&OpMeta>,
+        frames: &[FastFrame],
+        decoded: &DecodedModule,
+    );
+    /// An activation was pushed: the call stack changed.
+    fn call(&mut self);
+    /// The innermost activation returned: the call stack changed.
+    fn ret(&mut self);
     fn into_trace(self) -> Option<Trace>;
 }
 
@@ -36,22 +52,138 @@ pub(crate) struct NullSink;
 
 impl EventSink for NullSink {
     const ENABLED: bool = false;
-    fn push(&mut self, _ev: Event) {}
+    fn record(
+        &mut self,
+        _: u64,
+        _: EventKind,
+        _: Option<&OpMeta>,
+        _: &[FastFrame],
+        _: &DecodedModule,
+    ) {
+    }
+    fn call(&mut self) {}
+    fn ret(&mut self) {}
     fn into_trace(self) -> Option<Trace> {
         None
     }
 }
 
 /// Tracing enabled: events accumulate into a [`Trace`].
-pub(crate) struct TraceSink(Trace);
+///
+/// Every name an event carries is cloned from a per-run table, so an event
+/// copies pointers, not strings. A call stack does not change while its
+/// innermost activation runs (every outer frame is suspended at its call),
+/// so the sink keeps one stack per live activation, built on that
+/// activation's first event: the events of one activation share one
+/// allocation, and a caller's stack survives its callees.
+pub(crate) struct TraceSink {
+    trace: Trace,
+    /// Function names, indexed like [`DecodedModule::funcs`].
+    funcs: Vec<Arc<str>>,
+    /// File names, indexed by `pmir::FileId`, then `"<unknown>"` for any id
+    /// past the module's table (as `Module::file_name` renders it).
+    files: Vec<Arc<str>>,
+    /// One entry per live activation, outermost first: its stack, once an
+    /// event inside it has needed one.
+    stacks: Vec<Option<Arc<[Frame]>>>,
+}
+
+impl TraceSink {
+    fn new(module: &Module, decoded: &DecodedModule) -> Self {
+        let mut trace = Trace::new();
+        // Traces run to thousands of events; growing from empty pays a
+        // dozen reallocations that each memmove the whole log.
+        trace.events.reserve(1024);
+        let files = module.files().iter().map(String::as_str);
+        TraceSink {
+            trace,
+            funcs: decoded
+                .funcs
+                .iter()
+                .map(|f| Arc::from(f.name.as_str()))
+                .collect(),
+            files: files.chain(["<unknown>"]).map(Arc::from).collect(),
+            stacks: Vec::with_capacity(16),
+        }
+    }
+
+    fn trace_loc(&self, loc: Option<pmir::SrcLoc>) -> Option<TraceLoc> {
+        loc.map(|l| TraceLoc {
+            // Ids past the module's table land on the trailing "<unknown>".
+            file: Arc::clone(&self.files[(l.file.0 as usize).min(self.files.len() - 1)]),
+            line: l.line,
+            col: l.col,
+        })
+    }
+
+    /// The current call stack, innermost first: built once per activation.
+    fn stack(&mut self, frames: &[FastFrame], decoded: &DecodedModule) -> Arc<[Frame]> {
+        if let Some(Some(stack)) = self.stacks.last() {
+            return Arc::clone(stack);
+        }
+        let stack: Arc<[Frame]> = frames
+            .iter()
+            .rev()
+            .enumerate()
+            .map(|(depth, fr)| {
+                // Every frame but the innermost is suspended at its call op.
+                let (call_inst, loc) = if depth == 0 {
+                    (None, None)
+                } else {
+                    let m = &decoded.funcs[fr.func as usize].meta[fr.pc as usize];
+                    (Some(m.inst), self.trace_loc(m.loc))
+                };
+                Frame {
+                    function: Arc::clone(&self.funcs[fr.func as usize]),
+                    call_inst,
+                    loc,
+                }
+            })
+            .collect();
+        if let Some(slot) = self.stacks.last_mut() {
+            *slot = Some(Arc::clone(&stack));
+        }
+        stack
+    }
+}
 
 impl EventSink for TraceSink {
     const ENABLED: bool = true;
-    fn push(&mut self, ev: Event) {
-        self.0.push(ev);
+    fn record(
+        &mut self,
+        seq: u64,
+        kind: EventKind,
+        at: Option<&OpMeta>,
+        frames: &[FastFrame],
+        decoded: &DecodedModule,
+    ) {
+        let stack = self.stack(frames, decoded);
+        let (at, loc) = match (at, frames.last()) {
+            (Some(m), Some(fr)) => (
+                Some(IrRef {
+                    function: Arc::clone(&self.funcs[fr.func as usize]),
+                    inst: m.inst,
+                }),
+                self.trace_loc(m.loc),
+            ),
+            _ => (None, None),
+        };
+        self.trace.push(Event {
+            seq,
+            kind,
+            at,
+            loc,
+            stack,
+        });
+    }
+    fn call(&mut self) {
+        self.stacks.push(None);
+    }
+    fn ret(&mut self) {
+        self.stacks.pop();
     }
     fn into_trace(self) -> Option<Trace> {
-        Some(self.0)
+        Some(self.trace)
     }
 }
 
@@ -72,11 +204,8 @@ pub(crate) fn run(
         }
     };
     if opts.trace {
-        // Traces run to thousands of events; growing from empty pays a
-        // dozen reallocations that each memmove the whole log.
-        let mut t = Trace::new();
-        t.events.reserve(1024);
-        go(module, decoded, opts, boot, TraceSink(t))
+        let sink = TraceSink::new(module, decoded);
+        go(module, decoded, opts, boot, sink)
     } else {
         go(module, decoded, opts, boot, NullSink)
     }
@@ -139,7 +268,7 @@ fn go<S: EventSink>(
 
 /// One activation record: the function, its pc, and the base of its value
 /// window in the shared slot stack.
-struct FastFrame {
+pub(crate) struct FastFrame {
     func: u32,
     pc: u32,
     base: u32,
@@ -191,6 +320,7 @@ impl<S: EventSink> FastExec<'_, '_, S> {
             pc: df.entry_pc,
             base,
         });
+        self.sink.call();
     }
 
     fn cur_func_name(&self) -> String {
@@ -217,61 +347,13 @@ impl<S: EventSink> FastExec<'_, '_, S> {
         }
     }
 
-    fn trace_loc(&self, loc: Option<pmir::SrcLoc>) -> Option<TraceLoc> {
-        loc.map(|l| TraceLoc {
-            file: self.module.file_name(l.file).to_string(),
-            line: l.line,
-            col: l.col,
-        })
-    }
-
-    /// Captures the current call stack, innermost first (cold: only called
-    /// from emission sites, which the null sink compiles away).
-    fn capture_stack(&self) -> Vec<pmtrace::Frame> {
-        let mut out = Vec::with_capacity(self.frames.len());
-        for (depth, fr) in self.frames.iter().enumerate().rev() {
-            let df = &self.decoded.funcs[fr.func as usize];
-            let innermost = depth == self.frames.len() - 1;
-            let (call_inst, loc) = if innermost {
-                (None, None)
-            } else {
-                // This frame is suspended at its call op.
-                let m = &df.meta[fr.pc as usize];
-                (Some(m.inst), self.trace_loc(m.loc))
-            };
-            out.push(pmtrace::Frame {
-                function: df.name.clone(),
-                call_inst,
-                loc,
-            });
-        }
-        out
-    }
-
     fn emit(&mut self, kind: EventKind, at: Option<&OpMeta>) -> Option<u64> {
         if !S::ENABLED {
             return None;
         }
-        let stack = self.capture_stack();
-        let (at, loc) = match at {
-            Some(m) => (
-                Some(IrRef {
-                    function: self.cur_func_name(),
-                    inst: m.inst,
-                }),
-                self.trace_loc(m.loc),
-            ),
-            None => (None, None),
-        };
         let seq = self.seq;
         self.seq += 1;
-        self.sink.push(Event {
-            seq,
-            kind,
-            at,
-            loc,
-            stack,
-        });
+        self.sink.record(seq, kind, at, &self.frames, self.decoded);
         Some(seq)
     }
 
@@ -534,6 +616,7 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                     };
                     self.machine.pop_frame();
                     let done = self.frames.pop().expect("active frame");
+                    self.sink.ret();
                     self.vals.truncate(done.base as usize);
                     last_ret = v;
                     if let Some(caller) = self.frames.last() {
@@ -603,13 +686,15 @@ impl<S: EventSink> FastExec<'_, '_, S> {
 
 #[cfg(test)]
 mod tests {
-    use crate::interp::tests::run_both;
+    use crate::interp::tests::{run_both, run_both_from};
     use crate::VmOptions;
     use pmir::{BinOp, CmpPred, FenceKind, FlushKind, FunctionBuilder, Module, Operand, Type};
 
     /// A module exercising every op family: arithmetic, control flow,
     /// calls/recursion, globals, heap, PM stores/memops/flushes/fences,
-    /// crash points, and source locations.
+    /// crash points, and source locations. Its `recover` entry maps the
+    /// same pool and loads back what `main` made durable before its crash
+    /// point.
     fn kitchen_sink() -> Module {
         let mut m = Module::new();
         let file = m.intern_file("sink.pmc");
@@ -660,6 +745,9 @@ mod tests {
         b.call(touch, vec![Operand::Value(off)]);
         b.memset(pool, 0x5ai64, 4i64);
         b.flush(FlushKind::Clflush, pool);
+        let flag = b.gep(pool, 128i64);
+        b.store(Type::int(1), flag, 1i64);
+        b.flush(FlushKind::Clflush, flag);
         b.crash_point();
         let h = b.heap_alloc(64i64);
         b.store(Type::int(8), h, 7i64);
@@ -674,6 +762,22 @@ mod tests {
         b.fence(FenceKind::Mfence);
         b.ret(Some(Operand::Value(r)));
         b.finish();
+        let rec = m.declare_function("recover", vec![], Type::int(8));
+        let mut b = FunctionBuilder::new(&mut m, rec);
+        let e = b.entry_block();
+        b.switch_to(e);
+        let pool = b.pmem_map(4096i64, 0);
+        let head = b.load(Type::int(8), pool);
+        let off = b.gep(pool, 64i64);
+        let touched = b.load(Type::int(8), off);
+        let off = b.gep(pool, 128i64);
+        let flag = b.load(Type::int(1), off);
+        for v in [head, touched, flag] {
+            b.print(v);
+        }
+        let r = b.bin(BinOp::Add, head, flag);
+        b.ret(Some(Operand::Value(r)));
+        b.finish();
         m
     }
 
@@ -685,6 +789,18 @@ mod tests {
     #[test]
     fn tiers_agree_untraced() {
         run_both(&kitchen_sink(), VmOptions::bench()).unwrap();
+    }
+
+    #[test]
+    fn tiers_agree_on_untraced_recovery_loads() {
+        // Crash at the crash point, then boot `recover` untraced on that
+        // image: its PM loads read what was durable, on both engines.
+        let m = kitchen_sink();
+        let crashed = run_both(&m, VmOptions::default().stop_at(1)).unwrap();
+        let opts = VmOptions::bench().with_media(crashed.machine.into_media());
+        let rec = run_both_from(&m, "recover", opts).unwrap();
+        let head = i64::from_le_bytes(*b"ZZZZefgh");
+        assert_eq!(rec.output, vec![head, 0x1122334455667788, 1]);
     }
 
     #[test]

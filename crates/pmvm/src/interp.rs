@@ -149,14 +149,14 @@ impl Exec<'_, '_> {
 
     fn trace_loc(&self, loc: Option<pmir::SrcLoc>) -> Option<TraceLoc> {
         loc.map(|l| TraceLoc {
-            file: self.module.file_name(l.file).to_string(),
+            file: self.module.file_name(l.file).into(),
             line: l.line,
             col: l.col,
         })
     }
 
     /// Captures the current call stack, innermost first.
-    fn capture_stack(&self) -> Vec<pmtrace::Frame> {
+    fn capture_stack(&self) -> std::sync::Arc<[pmtrace::Frame]> {
         let mut out = Vec::with_capacity(self.frames.len());
         for (depth, fr) in self.frames.iter().enumerate().rev() {
             let f = self.module.function(fr.func);
@@ -169,12 +169,12 @@ impl Exec<'_, '_> {
                 (Some(inst.0), self.trace_loc(f.inst(inst).loc))
             };
             out.push(pmtrace::Frame {
-                function: f.name().to_string(),
+                function: f.name().into(),
                 call_inst,
                 loc,
             });
         }
-        out
+        out.into()
     }
 
     fn emit(&mut self, kind: EventKind, at: Option<(InstId, Option<pmir::SrcLoc>)>) -> Option<u64> {
@@ -183,7 +183,7 @@ impl Exec<'_, '_> {
         let (at, loc) = match at {
             Some((inst, loc)) => (
                 Some(IrRef {
-                    function: self.cur_func_name(),
+                    function: self.cur_func_name().into(),
                     inst: inst.0,
                 }),
                 self.trace_loc(loc),
@@ -506,8 +506,17 @@ pub(crate) mod tests {
     /// crash image and dirty and pending lines) or on the error, and
     /// returns the engine's outcome.
     pub(crate) fn run_both(m: &Module, opts: VmOptions) -> Result<RunResult, VmError> {
-        let reference = Vm::new(opts.clone()).run_reference(m, "main");
-        let engine = Vm::new(opts).run(m, "main");
+        run_both_from(m, "main", opts)
+    }
+
+    /// [`run_both`] from `entry`.
+    pub(crate) fn run_both_from(
+        m: &Module,
+        entry: &str,
+        opts: VmOptions,
+    ) -> Result<RunResult, VmError> {
+        let reference = Vm::new(opts.clone()).run_reference(m, entry);
+        let engine = Vm::new(opts).run(m, entry);
         let (Ok(a), Ok(b)) = (&reference, &engine) else {
             assert_eq!(reference.as_ref().err(), engine.as_ref().err());
             return engine;
@@ -659,11 +668,11 @@ pub(crate) mod tests {
             .iter()
             .find(|e| matches!(e.kind, EventKind::Store { .. }))
             .unwrap();
-        assert_eq!(store.at.as_ref().unwrap().function, "do_store");
+        assert_eq!(&*store.at.as_ref().unwrap().function, "do_store");
         assert_eq!(store.loc.as_ref().unwrap().line, 5);
         assert_eq!(store.stack.len(), 2);
-        assert_eq!(store.stack[0].function, "do_store");
-        assert_eq!(store.stack[1].function, "main");
+        assert_eq!(&*store.stack[0].function, "do_store");
+        assert_eq!(&*store.stack[1].function, "main");
         assert!(store.stack[1].call_inst.is_some());
         assert_eq!(store.stack[1].loc.as_ref().unwrap().line, 20);
         assert_eq!(trace.count(|k| matches!(k, EventKind::Fence { .. })), 1);

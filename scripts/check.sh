@@ -19,6 +19,10 @@ cargo test -q --workspace
 echo "==> differential engine gate (the VM and the reference interpreter agree on every run)"
 cargo test -q --release -p system-tests --test tier_differential
 
+echo "==> checker gate (golden report fingerprints; the indexed checker matches a naive reference, streaming matches batch; trace bytes match the fixture)"
+cargo test -q --release -p system-tests --test checker_golden --test crosscrate_trace_roundtrip
+cargo test -q --release -p pmcheck --test proptest_reference
+
 echo "==> perfbench build + self-tests (its own workspace: --workspace never compiles it)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline --manifest-path perfbench/Cargo.toml

@@ -143,3 +143,30 @@ fn every_corpus_log_round_trips_through_ingest_bounds() {
         assert_eq!(trace, imported, "{name}");
     }
 }
+
+/// The first 48 events of buggy memcached `mm-2`: stacks up to six frames
+/// deep, call sites with source locations, and the value store (event 24)
+/// the bug is about. Both files were written by the trace emitters as they
+/// stood before names and stacks became shared (`Arc`), so they pin the
+/// wire bytes across that change.
+const MM2_LOG: &str = include_str!("fixtures/memcached_mm2_trace.log");
+const MM2_JSON: &str = include_str!("fixtures/memcached_mm2_trace.json");
+
+#[test]
+fn trace_bytes_match_the_fixture() {
+    let m = pmapps::memcached::build_buggy("mm-2").unwrap();
+    let run = Vm::new(VmOptions::default().stop_at_event(47))
+        .run(&m, pmapps::memcached::ENTRY)
+        .unwrap();
+    let trace = run.trace.unwrap();
+    assert_eq!(trace.len(), 48);
+    assert!(trace.events.iter().any(|e| e.stack.len() >= 6));
+    assert!(trace
+        .events
+        .iter()
+        .any(|e| e.stack.iter().skip(1).all(|f| f.loc.is_some()) && e.stack.len() > 1));
+    assert!(pmtrace::log::to_log(&trace) == MM2_LOG, "log bytes moved");
+    assert!(trace.to_json().unwrap() == MM2_JSON, "JSON bytes moved");
+    assert_eq!(pmtrace::log::from_log(MM2_LOG).unwrap(), trace);
+    assert_eq!(Trace::from_json(MM2_JSON).unwrap(), trace);
+}

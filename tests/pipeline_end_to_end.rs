@@ -35,7 +35,7 @@ fn listing5_full_pipeline() {
     let bugs = checked.report.deduped_bugs();
     assert_eq!(bugs.len(), 1);
     assert_eq!(bugs[0].kind, BugKind::MissingFlushFence);
-    assert_eq!(bugs[0].store_at.as_ref().unwrap().function, "update");
+    assert_eq!(&*bugs[0].store_at.as_ref().unwrap().function, "update");
     assert_eq!(bugs[0].stack.len(), 3, "update <- modify <- main");
 
     // Steps 2-4: Hippocrates hoists two levels, creating modify_PM and

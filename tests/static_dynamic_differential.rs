@@ -37,7 +37,9 @@ fn kind_compatible(dynamic: BugKind, stat: BugKind) -> bool {
 }
 
 fn store_key(b: &Bug) -> Option<(String, u32)> {
-    b.store_at.as_ref().map(|at| (at.function.clone(), at.inst))
+    b.store_at
+        .as_ref()
+        .map(|at| (at.function.to_string(), at.inst))
 }
 
 /// Asserts contract (1) for one module and returns the static-only extras
