@@ -30,6 +30,20 @@ struct PoolCache {
     bytes: Pages,
 }
 
+/// Where a checked access lands: a volatile region's buffer, or the PM pool
+/// at this index of the machine's `pools`.
+#[derive(Clone, Copy)]
+enum Home {
+    Volatile(Region),
+    Pool(usize),
+}
+
+impl Home {
+    fn is_pm(self) -> bool {
+        matches!(self, Home::Pool(_))
+    }
+}
+
 /// The machine. See the [crate docs](crate) for the model.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -123,11 +137,13 @@ impl Machine {
     }
 
     /// Charges the fixed per-instruction dispatch cost.
+    #[inline]
     pub fn charge_inst(&mut self) {
         self.stats.cycles += self.cost.inst_base;
     }
 
     /// Charges a call/return pair.
+    #[inline]
     pub fn charge_call(&mut self) {
         self.stats.cycles += self.cost.call;
     }
@@ -135,6 +151,7 @@ impl Machine {
     // ----- volatile allocators ---------------------------------------------
 
     /// Pushes a stack frame; pair with [`Machine::pop_frame`].
+    #[inline]
     pub fn push_frame(&mut self) {
         self.frames.push(self.stack_top);
     }
@@ -144,6 +161,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if no frame is active.
+    #[inline]
     pub fn pop_frame(&mut self) {
         self.stack_top = self.frames.pop().expect("pop_frame with no active frame");
     }
@@ -288,23 +306,25 @@ impl Machine {
 
     // ----- access checking ---------------------------------------------------
 
-    fn check_range(&self, addr: u64, len: u64) -> Result<Region, MemError> {
-        if len == 0 {
-            return Region::of(addr).ok_or(MemError::Unmapped { addr });
-        }
+    /// Checks `[addr, addr + len)` and finds its home, so the access that
+    /// follows needs no second region dispatch or pool search.
+    fn check_range(&self, addr: u64, len: u64) -> Result<Home, MemError> {
         let region = Region::of(addr).ok_or(MemError::Unmapped { addr })?;
+        if len == 0 {
+            return match region {
+                Region::Pm => self
+                    .pool_index_of(addr)
+                    .map(Home::Pool)
+                    .ok_or(MemError::Unmapped { addr }),
+                _ => Ok(Home::Volatile(region)),
+            };
+        }
         let end = addr
             .checked_add(len)
             .ok_or(MemError::OutOfBounds { addr, len })?;
         let oob = MemError::OutOfBounds { addr, len };
-        match region {
-            Region::Stack => {
-                if end <= STACK_BASE + self.stack_top {
-                    Ok(region)
-                } else {
-                    Err(oob)
-                }
-            }
+        let limit = match region {
+            Region::Stack => STACK_BASE + self.stack_top,
             Region::Heap => {
                 let (base, alloc) = self
                     .heap_allocs
@@ -314,38 +334,26 @@ impl Machine {
                 if !alloc.live {
                     return Err(MemError::UseAfterFree { addr });
                 }
-                if end <= base + alloc.size {
-                    Ok(region)
-                } else {
-                    Err(oob)
-                }
+                base + alloc.size
             }
-            Region::Global => {
-                if end <= GLOBAL_BASE + self.globals_top {
-                    Ok(region)
-                } else {
-                    Err(oob)
-                }
-            }
+            Region::Global => GLOBAL_BASE + self.globals_top,
             Region::Pm => {
                 let i = self
                     .pool_index_of(addr)
                     .ok_or(MemError::Unmapped { addr })?;
                 let p = &self.pools[i];
-                if end <= p.base + p.bytes.len() as u64 {
-                    Ok(region)
+                return if end <= p.base + p.bytes.len() as u64 {
+                    Ok(Home::Pool(i))
                 } else {
                     Err(oob)
-                }
+                };
             }
+        };
+        if end <= limit {
+            Ok(Home::Volatile(region))
+        } else {
+            Err(oob)
         }
-    }
-
-    /// The checked PM pool holding `addr`, and `addr`'s offset in it.
-    fn pm_pool_mut(&mut self, addr: u64) -> (&mut Pages, usize) {
-        let i = self.pool_index_of(addr).expect("checked");
-        let p = &mut self.pools[i];
-        (&mut p.bytes, (addr - p.base) as usize)
     }
 
     /// The bytes of a checked volatile range.
@@ -361,29 +369,64 @@ impl Machine {
     }
 
     /// Writes `bytes` to a checked range.
-    fn write_raw(&mut self, region: Region, addr: u64, bytes: &[u8]) {
-        if region.is_pm() {
-            let (pool, off) = self.pm_pool_mut(addr);
-            pool.write(off, bytes);
-        } else {
-            self.volatile_slice_mut(region, addr, bytes.len() as u64)
-                .copy_from_slice(bytes);
+    fn write_raw(&mut self, home: Home, addr: u64, bytes: &[u8]) {
+        match home {
+            Home::Pool(i) => {
+                let p = &mut self.pools[i];
+                p.bytes.write((addr - p.base) as usize, bytes);
+            }
+            Home::Volatile(r) => self
+                .volatile_slice_mut(r, addr, bytes.len() as u64)
+                .copy_from_slice(bytes),
         }
     }
 
     /// Reads a checked range into `out`.
-    fn read_raw(&self, region: Region, addr: u64, out: &mut [u8]) {
-        let (buf, base) = match region {
-            Region::Stack => (&self.stack, STACK_BASE),
-            Region::Heap => (&self.heap, HEAP_BASE),
-            Region::Global => (&self.globals, GLOBAL_BASE),
-            Region::Pm => {
-                let p = &self.pools[self.pool_index_of(addr).expect("checked")];
+    fn read_raw(&self, home: Home, addr: u64, out: &mut [u8]) {
+        let (buf, base) = match home {
+            Home::Volatile(Region::Stack) => (&self.stack, STACK_BASE),
+            Home::Volatile(Region::Heap) => (&self.heap, HEAP_BASE),
+            Home::Volatile(Region::Global) => (&self.globals, GLOBAL_BASE),
+            Home::Volatile(Region::Pm) => unreachable!("PM bytes live in pages"),
+            Home::Pool(i) => {
+                let p = &self.pools[i];
                 return p.bytes.read((addr - p.base) as usize, out);
             }
         };
         let off = (addr - base) as usize;
         out.copy_from_slice(&buf[off..off + out.len()]);
+    }
+
+    /// The offset in `stack` of `[addr, addr + len)` when it lies wholly in
+    /// the live stack segment, where [`Machine::check_range`] would accept
+    /// it as [`Region::Stack`].
+    #[inline]
+    fn live_stack_offset(&self, addr: u64, len: usize) -> Option<usize> {
+        let off = addr.checked_sub(STACK_BASE)?;
+        (off < self.stack_top && self.stack_top - off >= len as u64).then_some(off as usize)
+    }
+
+    #[inline]
+    fn account_load(&mut self, home: Home) {
+        if home.is_pm() {
+            self.stats.pm_loads += 1;
+            self.stats.cycles += self.cost.pm_load;
+        } else {
+            self.stats.volatile_loads += 1;
+            self.stats.cycles += self.cost.dram_access;
+        }
+    }
+
+    #[inline]
+    fn account_store(&mut self, home: Home, addr: u64, len: u64) {
+        if home.is_pm() {
+            self.stats.pm_stores += 1;
+            self.stats.cycles += self.cost.pm_store;
+            self.dirty_lines.insert_range(addr, len);
+        } else {
+            self.stats.volatile_stores += 1;
+            self.stats.cycles += self.cost.dram_access;
+        }
     }
 
     // ----- loads and stores ---------------------------------------------------
@@ -395,24 +438,9 @@ impl Machine {
     /// Returns a [`MemError`] on an invalid access.
     pub fn store(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
         let len = bytes.len() as u64;
-        // Fast path: an access wholly inside the live stack segment — the
-        // overwhelmingly common case (locals, spills) — needs no region
-        // dispatch, no pool search, and no injector consult. Accounting is
-        // identical to the general volatile path below.
-        if addr >= STACK_BASE && len > 0 {
-            if let Some(end) = addr.checked_add(len) {
-                if end <= STACK_BASE + self.stack_top {
-                    let off = (addr - STACK_BASE) as usize;
-                    self.stack[off..off + len as usize].copy_from_slice(bytes);
-                    self.stats.volatile_stores += 1;
-                    self.stats.cycles += self.cost.dram_access;
-                    return Ok(());
-                }
-            }
-        }
-        let region = self.check_range(addr, len)?;
+        let home = self.check_range(addr, len)?;
         let mut write_len = len;
-        if region.is_pm() {
+        if home.is_pm() {
             if let Some(inj) = self.injector.as_mut() {
                 if let Some(pmfault::FaultKind::TornStore) = inj.fire(pmfault::FaultSite::SimStore)
                 {
@@ -428,15 +456,8 @@ impl Machine {
                 }
             }
         }
-        self.write_raw(region, addr, &bytes[..write_len as usize]);
-        if region.is_pm() {
-            self.stats.pm_stores += 1;
-            self.stats.cycles += self.cost.pm_store;
-            self.dirty_lines.insert_range(addr, len);
-        } else {
-            self.stats.volatile_stores += 1;
-            self.stats.cycles += self.cost.dram_access;
-        }
+        self.write_raw(home, addr, &bytes[..write_len as usize]);
+        self.account_store(home, addr, len);
         Ok(())
     }
 
@@ -447,20 +468,8 @@ impl Machine {
     /// Returns a [`MemError`] on an invalid access.
     pub fn load(&mut self, addr: u64, out: &mut [u8]) -> Result<(), MemError> {
         let len = out.len() as u64;
-        // Fast path: see `store` — same conditions, same accounting.
-        if addr >= STACK_BASE && len > 0 {
-            if let Some(end) = addr.checked_add(len) {
-                if end <= STACK_BASE + self.stack_top {
-                    let off = (addr - STACK_BASE) as usize;
-                    out.copy_from_slice(&self.stack[off..off + len as usize]);
-                    self.stats.volatile_loads += 1;
-                    self.stats.cycles += self.cost.dram_access;
-                    return Ok(());
-                }
-            }
-        }
-        let region = self.check_range(addr, len)?;
-        if region.is_pm() {
+        let home = self.check_range(addr, len)?;
+        if home.is_pm() {
             if let Some(inj) = self.injector.as_mut() {
                 if let Some(pmfault::FaultKind::MediaReadError) =
                     inj.fire(pmfault::FaultSite::SimMediaRead)
@@ -472,40 +481,67 @@ impl Machine {
                 }
             }
         }
-        self.read_raw(region, addr, out);
-        if region.is_pm() {
-            self.stats.pm_loads += 1;
-            self.stats.cycles += self.cost.pm_load;
-        } else {
-            self.stats.volatile_loads += 1;
-            self.stats.cycles += self.cost.dram_access;
-        }
+        self.read_raw(home, addr, out);
+        self.account_load(home);
         Ok(())
     }
 
     /// Loads a little-endian zero-extended integer of `len` bytes (1/2/4/8).
     ///
+    /// Same result, errors and accounting as [`Machine::load`] of `len`
+    /// bytes. Most of a program's accesses are stack slots: `#[inline]`
+    /// compiles this into the calling crate, where such an access costs one
+    /// range check and one fixed-width move, with no further call.
+    ///
     /// # Errors
     ///
     /// Returns a [`MemError`] on an invalid access.
+    #[inline]
     pub fn load_int(&mut self, addr: u64, len: u8) -> Result<i64, MemError> {
+        if let Some(off) = self.live_stack_offset(addr, usize::from(len)) {
+            if let Some(v) = get_le(&self.stack, off, len) {
+                self.account_load(Home::Volatile(Region::Stack));
+                return Ok(v);
+            }
+        }
+        self.load_int_checked(addr, len)
+    }
+
+    /// Stores the low `len` bytes of `value` little-endian: [`Machine::store`]
+    /// with the stack in line, like [`Machine::load_int`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`MemError`] on an invalid access.
+    #[inline]
+    pub fn store_int(&mut self, addr: u64, len: u8, value: i64) -> Result<(), MemError> {
+        if let Some(off) = self.live_stack_offset(addr, usize::from(len)) {
+            if put_le(&mut self.stack, off, len, value) {
+                self.account_store(Home::Volatile(Region::Stack), addr, u64::from(len));
+                return Ok(());
+            }
+        }
+        self.store_int_checked(addr, len, value)
+    }
+
+    /// [`Machine::load_int`] off the live stack: the general [`Machine::load`].
+    /// Kept out of line so that only the stack path is compiled into callers.
+    #[inline(never)]
+    fn load_int_checked(&mut self, addr: u64, len: u8) -> Result<i64, MemError> {
         let mut buf = [0u8; 8];
-        self.load(addr, &mut buf[..len as usize])?;
+        self.load(addr, &mut buf[..usize::from(len)])?;
         Ok(i64::from_le_bytes(buf))
     }
 
-    /// Stores the low `len` bytes of `value` little-endian.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MemError`] on an invalid access.
-    pub fn store_int(&mut self, addr: u64, len: u8, value: i64) -> Result<(), MemError> {
-        let bytes = value.to_le_bytes();
-        self.store(addr, &bytes[..len as usize])
+    /// [`Machine::store_int`] off the live stack: the general
+    /// [`Machine::store`], out of line like [`Machine::load_int_checked`].
+    #[inline(never)]
+    fn store_int_checked(&mut self, addr: u64, len: u8, value: i64) -> Result<(), MemError> {
+        self.store(addr, &value.to_le_bytes()[..usize::from(len)])
     }
 
-    /// `memcpy(dst, src, len)`. Regions may differ; overlap is not supported
-    /// and yields the source snapshot semantics (a temporary buffer is used).
+    /// `memcpy(dst, src, len)`. Regions may differ; overlapping ranges copy
+    /// the source as it was before the call (`memmove` semantics).
     ///
     /// # Errors
     ///
@@ -514,14 +550,23 @@ impl Machine {
         if len == 0 {
             return Ok(());
         }
-        let src_region = self.check_range(src, len)?;
-        let dst_region = self.check_range(dst, len)?;
-        let mut tmp = vec![0; len as usize];
-        self.read_raw(src_region, src, &mut tmp);
-        self.write_raw(dst_region, dst, &tmp);
-        self.account_bulk_write(dst_region, dst, len);
+        let src_home = self.check_range(src, len)?;
+        let dst_home = self.check_range(dst, len)?;
+        // Through a fixed buffer, chunk by chunk: front to back when the
+        // destination lies below the source, back to front otherwise, so
+        // no chunk overwrites a source byte that a later chunk still reads.
+        const CHUNK: u64 = 512;
+        let mut buf = [0u8; CHUNK as usize];
+        let chunks = len.div_ceil(CHUNK);
+        for k in 0..chunks {
+            let at = CHUNK * if dst > src { chunks - 1 - k } else { k };
+            let n = CHUNK.min(len - at) as usize;
+            self.read_raw(src_home, src + at, &mut buf[..n]);
+            self.write_raw(dst_home, dst + at, &buf[..n]);
+        }
+        self.account_bulk_write(dst_home, dst, len);
         self.stats.cycles += self.cost.bulk_byte * len.div_ceil(16);
-        if src_region.is_pm() {
+        if src_home.is_pm() {
             self.stats.pm_loads += len.div_ceil(8);
         } else {
             self.stats.volatile_loads += len.div_ceil(8);
@@ -538,21 +583,22 @@ impl Machine {
         if len == 0 {
             return Ok(());
         }
-        let region = self.check_range(dst, len)?;
-        if region.is_pm() {
-            let (pool, off) = self.pm_pool_mut(dst);
-            pool.fill(off, len as usize, val);
-        } else {
-            self.volatile_slice_mut(region, dst, len).fill(val);
+        let home = self.check_range(dst, len)?;
+        match home {
+            Home::Pool(i) => {
+                let p = &mut self.pools[i];
+                p.bytes.fill((dst - p.base) as usize, len as usize, val);
+            }
+            Home::Volatile(r) => self.volatile_slice_mut(r, dst, len).fill(val),
         }
-        self.account_bulk_write(region, dst, len);
+        self.account_bulk_write(home, dst, len);
         self.stats.cycles += self.cost.bulk_byte * len.div_ceil(16);
         Ok(())
     }
 
-    fn account_bulk_write(&mut self, region: Region, dst: u64, len: u64) {
+    fn account_bulk_write(&mut self, home: Home, dst: u64, len: u64) {
         let words = len.div_ceil(16);
-        if region.is_pm() {
+        if home.is_pm() {
             self.stats.pm_stores += words;
             self.stats.cycles += self.cost.pm_store * words;
             self.dirty_lines.insert_range(dst, len);
@@ -575,10 +621,10 @@ impl Machine {
     ///
     /// Returns a [`MemError`] if `addr` is not a mapped address.
     pub fn flush(&mut self, kind: FlushKind, addr: u64) -> Result<(), MemError> {
-        let region = self.check_range(addr, 1)?;
+        let home = self.check_range(addr, 1)?;
         self.stats.cycles += self.cost.flush_issue;
         let line = line_of(addr);
-        if region.is_pm() {
+        if home.is_pm() {
             self.stats.pm_flushes += 1;
             if let Some(inj) = self.injector.as_mut() {
                 if let Some(pmfault::FaultKind::DroppedFlush) =
@@ -721,9 +767,9 @@ impl Machine {
     ///
     /// Returns a [`MemError`] on an invalid range.
     pub fn peek(&self, addr: u64, len: u64) -> Result<Vec<u8>, MemError> {
-        let region = self.check_range(addr, len)?;
+        let home = self.check_range(addr, len)?;
         let mut out = vec![0; len as usize];
-        self.read_raw(region, addr, &mut out);
+        self.read_raw(home, addr, &mut out);
         Ok(out)
     }
 }
@@ -735,6 +781,36 @@ fn persist_line(media: &mut PmMedia, p: &PoolCache, line: u64) {
     let len = (CACHE_LINE as usize).min(p.bytes.len() - off);
     let pm = media.pool_mut(p.hint).expect("mapped pool has media");
     pm.bytes.copy_from(&p.bytes, off, len);
+}
+
+/// The zero-extended little-endian integer of `len` (1/2/4/8) bytes of
+/// `buf` at `off`, read at a fixed width; `None` for any other width.
+#[inline]
+fn get_le(buf: &[u8], off: usize, len: u8) -> Option<i64> {
+    let mut bytes = [0u8; 8];
+    match len {
+        8 => bytes.copy_from_slice(&buf[off..off + 8]),
+        4 => bytes[..4].copy_from_slice(&buf[off..off + 4]),
+        2 => bytes[..2].copy_from_slice(&buf[off..off + 2]),
+        1 => bytes[0] = buf[off],
+        _ => return None,
+    }
+    Some(i64::from_le_bytes(bytes))
+}
+
+/// Writes the low `len` (1/2/4/8) bytes of `value` little-endian to `buf` at
+/// `off`, at a fixed width; `false`, writing nothing, for any other width.
+#[inline]
+fn put_le(buf: &mut [u8], off: usize, len: u8, value: i64) -> bool {
+    let bytes = value.to_le_bytes();
+    match len {
+        8 => buf[off..off + 8].copy_from_slice(&bytes),
+        4 => buf[off..off + 4].copy_from_slice(&bytes[..4]),
+        2 => buf[off..off + 2].copy_from_slice(&bytes[..2]),
+        1 => buf[off] = bytes[0],
+        _ => return false,
+    }
+    true
 }
 
 fn align8(n: u64) -> u64 {
@@ -967,6 +1043,124 @@ mod tests {
             Err(MemError::OutOfBounds { .. })
         ));
         m.pop_frame();
+    }
+
+    /// Runs each access of `len` bytes at each of `addrs` through
+    /// `load_int`/`store_int` on one machine and through `load`/`store` on
+    /// a twin, and asserts equal results, bytes and stats.
+    fn assert_fixed_width_matches_general(
+        setup: impl Fn() -> Machine,
+        addrs: &[u64],
+        check: (u64, u64),
+    ) {
+        for len in [1u8, 2, 4, 8] {
+            let (mut fixed, mut general) = (setup(), setup());
+            for &addr in addrs {
+                let mut buf = [0u8; 8];
+                let want = general
+                    .load(addr, &mut buf[..usize::from(len)])
+                    .map(|()| i64::from_le_bytes(buf));
+                assert_eq!(fixed.load_int(addr, len), want, "load {len} at {addr:#x}");
+                let v = (addr as i64).wrapping_mul(0x0101_0101_0101_0101);
+                let want = general.store(addr, &v.to_le_bytes()[..usize::from(len)]);
+                assert_eq!(
+                    fixed.store_int(addr, len, v),
+                    want,
+                    "store {len} at {addr:#x}"
+                );
+                assert_eq!(
+                    fixed.stats(),
+                    general.stats(),
+                    "stats after {len} at {addr:#x}"
+                );
+                assert_eq!(fixed.dirty_pm_lines(), general.dirty_pm_lines());
+            }
+            assert_eq!(fixed.peek(check.0, check.1), general.peek(check.0, check.1));
+        }
+    }
+
+    #[test]
+    fn fixed_width_stack_access_matches_the_general_path() {
+        // The live frame ends at `top`, but the stack buffer runs 32 bytes
+        // past it (a popped frame's), so only the `stack_top` check stands
+        // between an access and stale bytes.
+        let setup = || {
+            let mut m = Machine::default();
+            m.push_frame();
+            m.stack_alloc(56).unwrap();
+            m.pop_frame();
+            m.push_frame();
+            let base = m.stack_alloc(24).unwrap();
+            m.store(base, &(1..=56).collect::<Vec<u8>>()[..24]).unwrap();
+            m
+        };
+        let top = STACK_BASE + 24;
+        // From 9 bytes below `top` to `top` itself: every width ends exactly
+        // at `top` once and straddles it after.
+        let mut addrs: Vec<u64> = (top - 9..=top).collect();
+        addrs.extend([
+            STACK_BASE - 1,
+            0,
+            u64::MAX - 3,
+            STACK_BASE + REGION_SPAN - 1,
+        ]);
+        for &addr in &addrs {
+            for len in [1u8, 2, 4, 8] {
+                let fits = addr >= STACK_BASE
+                    && addr.checked_add(u64::from(len)).is_some_and(|e| e <= top);
+                assert_eq!(setup().load_int(addr, len).is_ok(), fits);
+                if (STACK_BASE..=top).contains(&addr) && !fits {
+                    assert!(matches!(
+                        setup().store_int(addr, len, -1),
+                        Err(MemError::OutOfBounds { .. })
+                    ));
+                }
+            }
+        }
+        assert_fixed_width_matches_general(setup, &addrs, (STACK_BASE, 24));
+    }
+
+    #[test]
+    fn int_access_off_the_stack_matches_the_general_path() {
+        let setup = || {
+            let mut m = Machine::default();
+            let pool = m.map_pool(0, 8192).unwrap();
+            m.store(pool + 4090, &[9; 12]).unwrap();
+            // Clean again, so each path's stores must dirty every line
+            // they touch themselves.
+            m.flush(FlushKind::Clflush, pool + 4090).unwrap();
+            m.flush(FlushKind::Clflush, pool + 4096).unwrap();
+            m.add_global(16, b"0123456789abcdef").unwrap();
+            m
+        };
+        let pool = setup().map_pool(0, 8192).unwrap();
+        // Accesses inside one page, across the page boundary at 4096, up to
+        // and past the pool's end, and up to and past the globals' end.
+        let mut addrs: Vec<u64> = (pool + 4086..pool + 4097).collect();
+        addrs.extend(pool + 8184..=pool + 8192);
+        addrs.extend(GLOBAL_BASE + 8..=GLOBAL_BASE + 16);
+        assert_fixed_width_matches_general(setup, &addrs, (pool, 8192));
+        assert_fixed_width_matches_general(setup, &addrs, (GLOBAL_BASE, 16));
+    }
+
+    #[test]
+    fn overlapping_memcpy_copies_the_source_as_it_was() {
+        // Longer than the copy buffer, both directions, in a pool and on
+        // the heap; the pool's copies cross its page boundary.
+        let len = 1500;
+        for (dst, src) in [(3000u64, 2700u64), (2700, 3000), (2700, 2700), (5, 4)] {
+            let mut m = Machine::default();
+            let pool = m.map_pool(0, 8192).unwrap();
+            let heap = m.heap_alloc(8192).unwrap();
+            let init: Vec<u8> = (0..8192u32).map(|i| (i * 7 % 251) as u8).collect();
+            let mut want = init.clone();
+            want.copy_within(src as usize..(src + len) as usize, dst as usize);
+            for base in [pool, heap] {
+                m.store(base, &init).unwrap();
+                m.memcpy(base + dst, base + src, len).unwrap();
+                assert_eq!(m.peek(base, 8192).unwrap(), want, "{dst} <- {src}");
+            }
+        }
     }
 
     #[test]

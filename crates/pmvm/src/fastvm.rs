@@ -401,26 +401,46 @@ impl<S: EventSink> FastExec<'_, '_, S> {
         }
     }
 
+    /// The first step after `steps` that needs a look outside the op it
+    /// runs: the step past the fuel, or the next one on the watchdog's
+    /// stride (a multiple of 1024: no clock syscalls in the hot loop).
+    fn next_check(&self, steps: u64) -> u64 {
+        self.fuel.saturating_add(1).min((steps | 0x3FF) + 1)
+    }
+
     fn run_loop(&mut self) -> Result<(Ended, Option<i64>), VmError> {
-        let mut last_ret: Option<i64> = None;
-        while let Some(frame) = self.frames.last() {
+        // Copy the decoded-module reference out of `self` so op borrows are
+        // tied to 'm rather than to `self`: the dispatch below calls
+        // &mut self methods while holding `op`.
+        let decoded = self.decoded;
+        // The running activation lives in locals. Its frame's `pc` is
+        // written back only at a call, because only a suspended caller's
+        // `pc` is ever read again: by the matching return, and by the trace
+        // stacks of events raised below it.
+        let top = self.frames.last().expect("the entry activation is pushed");
+        let (mut pc, mut base) = (top.pc, top.base);
+        let mut df: &DecodedFunc = &decoded.funcs[top.func as usize];
+        let stop_at_event = self.opts.stop_at_event;
+        let diverge_armed = self.injector.is_some();
+        let mut steps = self.steps;
+        let mut check_at = self.next_check(steps);
+        let ended = loop {
             // `stop_at_event`: the previous op emitted event `n` and
             // completed; crash here, before the next op runs.
-            if let Some(n) = self.opts.stop_at_event {
+            if let Some(n) = stop_at_event {
                 if self.seq > n {
-                    return Ok((Ended::AtEvent(n), None));
+                    break (Ended::AtEvent(n), None);
                 }
             }
-            self.steps += 1;
-            if self.steps > self.fuel {
-                return Err(VmError::FuelExhausted { limit: self.fuel });
-            }
-            // Wall-clock watchdog on a coarse stride: no syscalls in the
-            // hot loop.
-            if self.steps & 0x3FF == 0 {
+            steps += 1;
+            if steps >= check_at {
+                if steps > self.fuel {
+                    return Err(VmError::FuelExhausted { limit: self.fuel });
+                }
                 self.check_watchdog()?;
+                check_at = self.next_check(steps);
             }
-            if self.injector.is_some() {
+            if diverge_armed {
                 if let Some(pmfault::FaultKind::StuckLoop) = self
                     .injector
                     .as_mut()
@@ -429,14 +449,6 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                     return self.stuck_loop();
                 }
             }
-            let func = frame.func;
-            let pc = frame.pc;
-            let base = frame.base;
-            // Copy the decoded-module reference out of `self` so the op
-            // borrow is tied to 'm rather than to `self` — the dispatch
-            // below calls &mut self methods while holding `op`.
-            let decoded = self.decoded;
-            let df: &DecodedFunc = &decoded.funcs[func as usize];
             self.machine.charge_inst();
 
             let op: &DecOp = &df.ops[pc as usize];
@@ -447,28 +459,28 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                         function: self.cur_func_name(),
                     })?;
                     self.write(base, *dst, r);
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Cmp { pred, a, b, dst } => {
                     let r = pred.eval(self.read(base, *a)?, self.read(base, *b)?);
                     self.write(base, *dst, r);
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Alloca { size, dst } => {
                     let addr = self.machine.stack_alloc(*size)?;
                     self.write(base, *dst, addr as i64);
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::HeapAlloc { size, dst } => {
                     let size = self.read(base, *size)? as u64;
                     let addr = self.machine.heap_alloc(size)?;
                     self.write(base, *dst, addr as i64);
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::HeapFree { ptr } => {
                     let addr = self.read(base, *ptr)? as u64;
                     self.machine.heap_free(addr)?;
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::PmemMap {
                     size,
@@ -489,7 +501,7 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                         },
                         Some(meta),
                     );
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Gep {
                     base: b0,
@@ -499,13 +511,13 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                     let r = (self.read(base, *b0)? as u64)
                         .wrapping_add(self.read(base, *offset)? as u64);
                     self.write(base, *dst, r as i64);
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Load { width, addr, dst } => {
                     let a = self.read(base, *addr)? as u64;
                     let v = self.machine.load_int(a, *width)?;
                     self.write(base, *dst, v);
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Store { width, addr, value } => {
                     let width = *width;
@@ -523,7 +535,7 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                         self.capture_pm_write(seq, a, width as u64);
                         self.after_pm_store(a);
                     }
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Memcpy { dst_addr, src, len } => {
                     let d = self.read(base, *dst_addr)? as u64;
@@ -538,7 +550,7 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                         self.capture_pm_write(seq, d, n);
                         self.after_pm_store(d);
                     }
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Memset { dst_addr, val, len } => {
                     let d = self.read(base, *dst_addr)? as u64;
@@ -553,7 +565,7 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                         self.capture_pm_write(seq, d, n);
                         self.after_pm_store(d);
                     }
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Flush { sim, trace, addr } => {
                     let (sim, trace) = (*sim, *trace);
@@ -568,7 +580,7 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                             Some(&df.meta[pc as usize]),
                         );
                     }
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Fence { sim, trace } => {
                     let (sim, trace) = (*sim, *trace);
@@ -577,7 +589,7 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                         EventKind::Fence { kind: trace },
                         Some(&df.meta[pc as usize]),
                     );
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Call {
                     callee,
@@ -602,11 +614,14 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                         }
                     }
                     self.machine.charge_call();
+                    self.frames.last_mut().expect("active frame").pc = pc;
                     self.push_call(callee);
-                    let nb = self.frames.last().expect("just pushed").base as usize;
+                    let top = self.frames.last().expect("just pushed");
+                    (pc, base) = (top.pc, top.base);
+                    df = &decoded.funcs[callee as usize];
                     let src: &[i64] = if argc <= 8 { &argv[..argc] } else { &spill };
                     for (i, &v) in src.iter().enumerate() {
-                        self.vals[nb + i] = Some(v);
+                        self.vals[base as usize + i] = Some(v);
                     }
                 }
                 DecOp::Ret { value } => {
@@ -618,52 +633,49 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                     let done = self.frames.pop().expect("active frame");
                     self.sink.ret();
                     self.vals.truncate(done.base as usize);
-                    last_ret = v;
-                    if let Some(caller) = self.frames.last() {
-                        let (cf, cpc, cb) = (caller.func, caller.pc, caller.base);
-                        let cdf = &decoded.funcs[cf as usize];
-                        if let DecOp::Call { dst, .. } = &cdf.ops[cpc as usize] {
-                            if let Some(v) = v {
-                                self.write(cb, *dst, v);
-                            }
+                    let Some(caller) = self.frames.last() else {
+                        break (Ended::Returned, v);
+                    };
+                    (pc, base) = (caller.pc, caller.base);
+                    df = &decoded.funcs[caller.func as usize];
+                    if let DecOp::Call { dst, .. } = &df.ops[pc as usize] {
+                        if let Some(v) = v {
+                            self.write(base, *dst, v);
                         }
-                        self.advance();
                     }
+                    pc += 1;
                 }
                 DecOp::Br { target } => {
-                    let target = *target;
-                    self.frames.last_mut().expect("active").pc = target;
+                    pc = *target;
                 }
                 DecOp::CondBr {
                     cond,
                     then_pc,
                     else_pc,
                 } => {
-                    let (then_pc, else_pc) = (*then_pc, *else_pc);
                     let c = self.read(base, *cond)?;
-                    self.frames.last_mut().expect("active").pc =
-                        if c != 0 { then_pc } else { else_pc };
+                    pc = if c != 0 { *then_pc } else { *else_pc };
                 }
                 DecOp::GlobalAddr { global, dst } => {
                     let addr = self.globals[*global as usize];
                     self.write(base, *dst, addr as i64);
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Print { value } => {
                     let v = self.read(base, *value)?;
                     self.output.push(v);
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::CrashPoint => {
                     self.crash_points += 1;
                     self.emit(EventKind::CrashPoint, Some(&df.meta[pc as usize]));
                     if self.opts.stop_at_crash_point == Some(self.crash_points) {
-                        return Ok((Ended::CrashPoint(self.crash_points), None));
+                        break (Ended::CrashPoint(self.crash_points), None);
                     }
-                    self.advance();
+                    pc += 1;
                 }
                 DecOp::Abort { code } => {
-                    return Ok((Ended::Aborted(*code), None));
+                    break (Ended::Aborted(*code), None);
                 }
                 DecOp::TrapFallthrough => {
                     // Matches the interpreter's behavior on malformed IR: it
@@ -674,13 +686,9 @@ impl<S: EventSink> FastExec<'_, '_, S> {
                     );
                 }
             }
-        }
-        Ok((Ended::Returned, last_ret))
-    }
-
-    #[inline(always)]
-    fn advance(&mut self) {
-        self.frames.last_mut().expect("active frame").pc += 1;
+        };
+        self.steps = steps;
+        Ok(ended)
     }
 }
 
@@ -861,6 +869,56 @@ mod tests {
             ..VmOptions::default()
         };
         run_both(&spin, opts).unwrap_err();
+    }
+
+    #[test]
+    fn tiers_agree_at_every_fuel_limit() {
+        // Every `max_steps` from 1 to the full run: the fuel check and the
+        // watchdog stride share one compare, so each limit must stop the
+        // engine at the same step, with the same error, as the reference.
+        let m = kitchen_sink();
+        for opts in [VmOptions::default().capture_pm_data(), VmOptions::bench()] {
+            let steps = run_both(&m, opts.clone()).unwrap().steps;
+            assert!(steps > 100, "the sink module must run a real loop");
+            for max_steps in 1..=steps {
+                let r = run_both(
+                    &m,
+                    VmOptions {
+                        max_steps,
+                        ..opts.clone()
+                    },
+                );
+                assert_eq!(r.is_ok(), max_steps == steps, "max_steps {max_steps}");
+            }
+        }
+    }
+
+    #[test]
+    fn tiers_agree_when_fuel_ends_on_the_watchdog_stride() {
+        // Runs of exactly 1024 and 2048 steps: their last step is also a
+        // watchdog step, where the fuel must still allow it.
+        for n in [1024, 2048] {
+            let mut m = Module::new();
+            let f = m.declare_function("main", vec![], Type::Void);
+            let mut b = FunctionBuilder::new(&mut m, f);
+            let e = b.entry_block();
+            b.switch_to(e);
+            for _ in 1..n {
+                b.bin(BinOp::Add, 1i64, 2i64);
+            }
+            b.ret(None);
+            b.finish();
+            for max_steps in [n - 1, n, n + 1] {
+                let r = run_both(
+                    &m,
+                    VmOptions {
+                        max_steps,
+                        ..VmOptions::bench()
+                    },
+                );
+                assert_eq!(r.map(|r| r.steps).ok(), (max_steps >= n).then_some(n));
+            }
+        }
     }
 
     #[test]

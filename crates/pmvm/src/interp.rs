@@ -340,14 +340,19 @@ impl Exec<'_, '_> {
                 }
                 Op::Load { ty, addr } => {
                     let a = self.eval(*addr)? as u64;
-                    let v = self.machine.load_int(a, ty.size() as u8)?;
-                    self.set_result(inst_id, v);
+                    // The general `load`, not the engine's fixed-width
+                    // `load_int`: every differential run then checks one
+                    // machine path against the other.
+                    let mut buf = [0u8; 8];
+                    self.machine.load(a, &mut buf[..ty.size() as usize])?;
+                    self.set_result(inst_id, i64::from_le_bytes(buf));
                     self.advance();
                 }
                 Op::Store { ty, addr, value } => {
                     let a = self.eval(*addr)? as u64;
                     let v = self.eval(*value)?;
-                    self.machine.store_int(a, ty.size() as u8, v)?;
+                    self.machine
+                        .store(a, &v.to_le_bytes()[..ty.size() as usize])?;
                     if layout::is_pm_addr(a) {
                         let seq = self.emit(
                             EventKind::Store {

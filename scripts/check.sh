@@ -18,6 +18,9 @@ cargo test -q --workspace
 
 echo "==> differential engine gate (the VM and the reference interpreter agree on every run)"
 cargo test -q --release -p system-tests --test tier_differential
+# The engine's and the machine's own tests in release too: the benchmark
+# runs release builds, where integer overflow wraps instead of panicking.
+cargo test -q --release -p pmvm -p pmem-sim
 
 echo "==> checker gate (golden report fingerprints; the indexed checker matches a naive reference, streaming matches batch; trace bytes match the fixture)"
 cargo test -q --release -p system-tests --test checker_golden --test crosscrate_trace_roundtrip

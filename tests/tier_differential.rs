@@ -120,6 +120,76 @@ fn memcached_tiers_identical() {
     }
 }
 
+#[test]
+fn pclht_recovery_boot_agrees_at_every_fuel_limit() {
+    // One recovery boot, cut at every `max_steps` from 1 to its full
+    // length: the engine must stop at the same step, with the same error,
+    // as the reference. The watchdog is armed (and never fires) so its
+    // stride shares the engine's one per-step check with the fuel.
+    let m = pmapps::pclht::build_correct().expect("pclht builds");
+    let traced = run_both(
+        "pclht",
+        &m,
+        pmapps::pclht::ENTRY,
+        VmOptions::default().capture_pm_data(),
+    )
+    .expect("the traced run completes");
+    let (trace, data) = (
+        traced.trace.expect("traced"),
+        traced.pm_data.expect("captured"),
+    );
+    let candidates = sample(&frontiers(&trace, &data, None), 96, 0);
+    let c = candidates
+        .iter()
+        .max_by_key(|c| c.after_seq)
+        .expect("crash states");
+    let mut replayer = Replayer::new(&trace, &data, None);
+    replayer.advance_to(c.after_seq);
+    let image = replayer.image_with(&c.lines).into_media();
+    let entry = Oracle::default_for(&m, pmapps::pclht::ENTRY).entry;
+    let boot = |max_steps| VmOptions {
+        trace: false,
+        max_steps,
+        ..VmOptions::default()
+            .watchdog(600_000)
+            .with_media(image.clone())
+    };
+    let steps = run_both("pclht boot", &m, &entry, boot(u64::MAX))
+        .expect("the boot completes")
+        .steps;
+    assert!(
+        steps > 1024,
+        "the boot must cross the watchdog stride, ran {steps} steps"
+    );
+    for max_steps in 1..=steps {
+        let tag = format!("pclht boot at max_steps {max_steps}");
+        let r = run_both(&tag, &m, &entry, boot(max_steps));
+        assert_eq!(r.is_some(), max_steps == steps, "{tag}");
+    }
+}
+
+/// Untraced Redis YCSB, Load then workload A, on the healed Redis: the
+/// path the paper's Fig. 4 measures, whose runs nothing else above
+/// compares. 1 KiB values send every SET and RMW through `memcpy`.
+#[test]
+fn redis_ycsb_untraced_tiers_identical() {
+    let mut m = pmapps::redis::build(pmapps::redis::RedisBuild::FlushFree).expect("redis builds");
+    let cal = pmapps::redis::attach_workload(&mut m, "cal", &bench::redisx::calibration_ops());
+    let healed = Hippocrates::new(RepairOptions::default())
+        .repair_until_clean(&mut m, &cal)
+        .expect("redis heals");
+    assert!(healed.clean);
+    let g = ycsb::Generator::new(100, 100, 1024, 7);
+    let mut ops = bench::redisx::to_redis_ops(&g.load_ops(), 1024);
+    ops.extend(bench::redisx::to_redis_ops(
+        &g.run_ops(ycsb::Workload::A),
+        1024,
+    ));
+    let entry = pmapps::redis::attach_workload(&mut m, "ycsb_a", &ops);
+    let r = run_both("redis ycsb A", &m, &entry, VmOptions::bench()).expect("the run completes");
+    assert!(r.stats.pm_stores > 0 && r.steps > 100_000, "{:?}", r.stats);
+}
+
 /// The `explore_do_no_harm` publish-pattern family, reused as a randomized
 /// differential corpus: every generated program, and its repair, must run
 /// identically on both engines.
