@@ -28,6 +28,9 @@ struct PoolCache {
     hint: u64,
     base: u64,
     bytes: Pages,
+    /// One bit per line: already in the read log. Empty while the log is
+    /// disarmed.
+    read: Vec<u64>,
 }
 
 /// Where a checked access lands: a volatile region's buffer, or the PM pool
@@ -69,6 +72,9 @@ pub struct Machine {
 
     // Fault injection (None in production: one branch per PM access).
     injector: Option<pmfault::Injector>,
+
+    // The PM lines loads have read, in first-read order (None: disarmed).
+    read_log: Option<Vec<u64>>,
 }
 
 impl Default for Machine {
@@ -102,6 +108,7 @@ impl Machine {
             pending_pm_lines: LineSet::new(),
             pending_volatile_lines: LineSet::new(),
             injector: None,
+            read_log: None,
         }
     }
 
@@ -119,6 +126,49 @@ impl Machine {
     /// fault campaign asserts on.
     pub fn injected_faults(&self) -> &[String] {
         self.injector.as_ref().map_or(&[], |i| i.injected())
+    }
+
+    /// Arms the read log: from now on, every PM line a [`Machine::load`]
+    /// (so also an off-stack [`Machine::load_int`]) or the source of a
+    /// [`Machine::memcpy`] touches is logged once, in first-read order.
+    /// [`Machine::peek`] stays silent. The log changes nothing else: no
+    /// result, error, counter or cycle.
+    ///
+    /// A run that reads only from the medium is a deterministic function of
+    /// the bytes of the logged lines (given its pools): this is what lets
+    /// crash-state exploration reuse one recovery boot's verdict for every
+    /// crash image that agrees with it on those lines.
+    pub fn arm_read_log(&mut self) {
+        if self.read_log.is_none() {
+            self.read_log = Some(vec![]);
+            for p in &mut self.pools {
+                p.read = line_bitmap(p.bytes.len());
+            }
+        }
+    }
+
+    /// The PM lines read since [`Machine::arm_read_log`], in first-read
+    /// order; `None` while the log is disarmed.
+    pub fn read_log(&self) -> Option<&[u64]> {
+        self.read_log.as_deref()
+    }
+
+    /// Logs the lines of `[addr, addr + len)`, a checked range in pool `i`.
+    fn log_read(&mut self, i: usize, addr: u64, len: u64) {
+        let Some(log) = self.read_log.as_mut() else {
+            return;
+        };
+        let p = &mut self.pools[i];
+        let mut line = line_of(addr);
+        while line < addr + len {
+            let k = ((line - p.base) / CACHE_LINE) as usize;
+            let (word, bit) = (k / 64, 1u64 << (k % 64));
+            if p.read[word] & bit == 0 {
+                p.read[word] |= bit;
+                log.push(line);
+            }
+            line += CACHE_LINE;
+        }
     }
 
     /// Execution counters so far.
@@ -293,7 +343,17 @@ impl Machine {
         } else {
             self.media.pool(hint).expect("pool exists").bytes.clone()
         };
-        self.pools.push(PoolCache { hint, base, bytes });
+        let read = if self.read_log.is_some() {
+            line_bitmap(bytes.len())
+        } else {
+            vec![]
+        };
+        self.pools.push(PoolCache {
+            hint,
+            base,
+            bytes,
+            read,
+        });
         self.pools.sort_by_key(|p| p.base);
         Ok(base)
     }
@@ -469,7 +529,7 @@ impl Machine {
     pub fn load(&mut self, addr: u64, out: &mut [u8]) -> Result<(), MemError> {
         let len = out.len() as u64;
         let home = self.check_range(addr, len)?;
-        if home.is_pm() {
+        if let Home::Pool(i) = home {
             if let Some(inj) = self.injector.as_mut() {
                 if let Some(pmfault::FaultKind::MediaReadError) =
                     inj.fire(pmfault::FaultSite::SimMediaRead)
@@ -480,6 +540,7 @@ impl Machine {
                     return Err(MemError::MediaRead { addr });
                 }
             }
+            self.log_read(i, addr, len);
         }
         self.read_raw(home, addr, out);
         self.account_load(home);
@@ -552,6 +613,9 @@ impl Machine {
         }
         let src_home = self.check_range(src, len)?;
         let dst_home = self.check_range(dst, len)?;
+        if let Home::Pool(i) = src_home {
+            self.log_read(i, src, len);
+        }
         // Through a fixed buffer, chunk by chunk: front to back when the
         // destination lies below the source, back to front otherwise, so
         // no chunk overwrites a source byte that a later chunk still reads.
@@ -781,6 +845,11 @@ fn persist_line(media: &mut PmMedia, p: &PoolCache, line: u64) {
     let len = (CACHE_LINE as usize).min(p.bytes.len() - off);
     let pm = media.pool_mut(p.hint).expect("mapped pool has media");
     pm.bytes.copy_from(&p.bytes, off, len);
+}
+
+/// An all-clear bitmap with one bit per line of a `len`-byte pool.
+fn line_bitmap(len: usize) -> Vec<u64> {
+    vec![0; len.div_ceil(CACHE_LINE as usize).div_ceil(64)]
 }
 
 /// The zero-extended little-endian integer of `len` (1/2/4/8) bytes of
@@ -1221,5 +1290,86 @@ mod tests {
         let h = m.heap_alloc(8).unwrap();
         m.store_int(h, 8, 1).unwrap();
         assert_eq!(m.load_int(h, 8).unwrap(), 1);
+    }
+
+    /// Two pools, a global, a heap block and a stack slot, each written
+    /// once, on a machine whose read log is armed (or not) before it maps
+    /// anything.
+    fn read_log_machine(armed: bool) -> (Machine, [u64; 5]) {
+        let mut m = Machine::default();
+        if armed {
+            m.arm_read_log();
+        }
+        let p = m.map_pool(1, 4096).unwrap();
+        let q = m.map_pool(2, 256).unwrap();
+        let g = m.add_global(16, b"global").unwrap();
+        let h = m.heap_alloc(256).unwrap();
+        m.push_frame();
+        let s = m.stack_alloc(16).unwrap();
+        for (i, &a) in [p, q, g, h, s].iter().enumerate() {
+            m.store_int(a, 8, i as i64 + 1).unwrap();
+        }
+        (m, [p, q, g, h, s])
+    }
+
+    /// The same reads, on either machine: PM through every reading path,
+    /// and volatile memory and `peek`, which must log nothing.
+    fn read_everything(m: &mut Machine, [p, q, g, h, s]: [u64; 5]) -> Vec<i64> {
+        let mut got = vec![];
+        for a in [p + 130, q, p, p + 128 + 8, s, g, h] {
+            got.push(m.load_int(a, 8).unwrap());
+        }
+        // 8 bytes across the boundary of lines 0 and 1: line 1 is new.
+        let mut buf = [0u8; 8];
+        m.load(p + 60, &mut buf).unwrap();
+        got.push(i64::from_le_bytes(buf));
+        // A `memcpy` source spanning lines 3..=5; the PM destination is
+        // written, not read.
+        m.memcpy(h, p + 3 * 64 + 8, 140).unwrap();
+        m.memcpy(q + 64, h, 8).unwrap();
+        // Silent: `peek`, and a load that traps before reading.
+        m.peek(p + 640, 64).unwrap();
+        assert!(m.load_int(p + 4096 - 4, 8).is_err());
+        got.push(m.load_int(h + 8, 8).unwrap());
+        got
+    }
+
+    #[test]
+    fn read_log_lists_pm_lines_once_in_first_read_order() {
+        let (mut m, addrs) = read_log_machine(true);
+        let [p, q, ..] = addrs;
+        assert_eq!(m.read_log(), Some(&[][..]), "stores read nothing");
+        read_everything(&mut m, addrs);
+        assert_eq!(
+            m.read_log().unwrap(),
+            [p + 128, q, p, p + 64, p + 192, p + 256, p + 320],
+        );
+    }
+
+    #[test]
+    fn read_log_covers_pools_mapped_before_arming() {
+        let mut m = Machine::default();
+        let p = m.map_pool(1, 4096).unwrap();
+        m.load_int(p, 8).unwrap();
+        assert_eq!(m.read_log(), None, "disarmed");
+        m.arm_read_log();
+        m.load_int(p + 64, 8).unwrap();
+        m.arm_read_log();
+        m.load_int(p + 64, 8).unwrap();
+        assert_eq!(m.read_log().unwrap(), [p + 64], "re-arming keeps the log");
+    }
+
+    #[test]
+    fn arming_the_read_log_changes_nothing_it_observes() {
+        let (mut plain, addrs) = read_log_machine(false);
+        let (mut armed, _) = read_log_machine(true);
+        assert_eq!(
+            read_everything(&mut plain, addrs),
+            read_everything(&mut armed, addrs)
+        );
+        assert_eq!(plain.stats(), armed.stats());
+        assert_eq!(plain.crash_image(), armed.crash_image());
+        assert_eq!(plain.dirty_pm_lines(), armed.dirty_pm_lines());
+        assert_eq!(plain.read_log(), None);
     }
 }

@@ -3,18 +3,23 @@
 //! Pipeline: derive frontiers → sample candidates under the budget →
 //! fan candidate chunks out over a work-stealing queue → each worker
 //! replays to the candidate's position, dedups by the replayer's rolling
-//! content hash (no image bytes are copied for states seen before), and
-//! boots the recovery oracle on memo misses → inconsistencies are blamed
-//! back onto the stores whose lost lines broke recovery and exported as a
-//! `pmcheck`-shaped report.
+//! content hash (no image bytes are copied for states seen before), then
+//! asks its read-path memo (`readpath.rs`) whether an earlier boot
+//! read only lines this image holds at the same versions, and boots the
+//! recovery oracle when neither knows the verdict → inconsistencies are
+//! blamed back onto the stores whose lost lines broke recovery and
+//! exported as a `pmcheck`-shaped report.
 //!
 //! Results are deterministic in `(trace, seed, budget)`: the candidate
 //! list is generated up front, a verdict is a pure function of the image
-//! (so memoization races between workers are benign), and findings are
-//! re-sorted into candidate order before deduplication.
+//! (so memoization races between workers are benign), a read-path hit is
+//! entered in the image memo exactly as a boot would have been (so the
+//! distinct-state count does not depend on which images were booted), and
+//! findings are re-sorted into candidate order before deduplication.
 
-use crate::frontier::{frontiers, Frontier};
+use crate::frontier::frontiers;
 use crate::oracle::{Failure, Oracle, Verdict};
+use crate::readpath::ReadPathMemo;
 use crate::replay::Replayer;
 use crate::sample::{sample, Candidate};
 use crate::steal::StealQueue;
@@ -24,6 +29,7 @@ use pmtrace::{DataLog, EventKind, Trace};
 use pmvm::{Vm, VmError, VmOptions};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Candidate indices handed to a worker per queue transaction.
@@ -178,9 +184,10 @@ impl ExploreReport {
                 if !seen.insert((ls.store_seq, ls.kind)) {
                     continue;
                 }
-                let Some(e) = trace.events.iter().find(|e| e.seq == ls.store_seq) else {
+                let Ok(at) = trace.events.binary_search_by_key(&ls.store_seq, |e| e.seq) else {
                     continue;
                 };
+                let e = &trace.events[at];
                 let EventKind::Store { addr, len } = e.kind else {
                     continue;
                 };
@@ -290,13 +297,26 @@ pub fn explore(
         let _span = opts.obs.span("explore.sample");
         sample(&fronts, opts.budget, opts.seed)
     };
+    // A finding reads its dirty and pending lines off the replayer, so the
+    // frontier list need not stay beside every recovery boot.
+    let frontier_count = fronts.len();
+    drop(fronts);
     let jobs = opts.jobs.max(1).min(candidates.len().max(1));
     let queue = StealQueue::new(jobs, candidates.len(), CHUNK);
     let memo: Mutex<HashMap<u64, Verdict>> = Mutex::new(HashMap::new());
     let found: Mutex<Vec<(usize, Finding)>> = Mutex::new(vec![]);
     // Candidates actually evaluated, for the partial-coverage diagnostic
     // when the caller's cancellation budget trips mid-run.
-    let evaluated = std::sync::atomic::AtomicUsize::new(0);
+    let evaluated = AtomicUsize::new(0);
+    // Recovery boots run, and boots skipped by a read-path memo hit.
+    let (boots, path_hits) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    // Fence positions, for blame: is a store followed by a fence?
+    let fences: Vec<u64> = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Fence { .. }))
+        .map(|e| e.seq)
+        .collect();
     // Faulted candidates: (idx, one-line diagnostic, was_worker_panic).
     let faulted: Mutex<Vec<(usize, String, bool)>> = Mutex::new(vec![]);
     // Explore-level faults are keyed by the *candidate index* via the
@@ -318,6 +338,8 @@ pub fn explore(
         let mut processed = 0u64;
         let mut replayer: Option<Replayer<'_>> = None;
         let mut at_seq = 0u64;
+        // This worker's read-path memo, for this call.
+        let mut paths = ReadPathMemo::default();
         while let Some(range) = queue.pop(w) {
             // Cooperative cancellation: stop taking chunks once the
             // caller's budget is exhausted. Already-popped candidates
@@ -328,7 +350,7 @@ pub fn explore(
             }
             for idx in range {
                 processed += 1;
-                evaluated.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                evaluated.fetch_add(1, Ordering::Relaxed);
                 // Worker-panic isolation: a panic anywhere in one
                 // candidate's processing (injected or real) skips
                 // that candidate only. The loop — and the steal
@@ -370,14 +392,32 @@ pub fn explore(
                         )
                     });
                     let injected = oracle_panic || diverge;
-                    // Faulted candidates bypass the memo in both
+                    // Faulted candidates bypass both memos in both
                     // directions: the fault must manifest, and its
                     // verdict must not leak to other candidates
                     // that happen to share the image.
+                    let version = |line| r.line_version(line, &c.lines);
+                    // Where the image left the read-path memo, if it was
+                    // asked and missed: the boot's path goes in there.
+                    let mut miss = None;
                     let known = if injected {
                         None
                     } else {
-                        memo.lock().expect("memo lock").get(&h).cloned()
+                        let known = memo.lock().expect("memo lock").get(&h).cloned();
+                        // The image memo missed: an earlier boot that read
+                        // only lines this image holds at the same versions
+                        // decides, and its verdict counts as this image's.
+                        known.or_else(|| match paths.lookup(r.pool_set(), version) {
+                            Ok(v) => {
+                                path_hits.fetch_add(1, Ordering::Relaxed);
+                                memo.lock().expect("memo lock").insert(h, v.clone());
+                                Some(v.clone())
+                            }
+                            Err(m) => {
+                                miss = Some(m);
+                                None
+                            }
+                        })
                     };
                     let verdict = match known {
                         Some(v) => v,
@@ -385,6 +425,7 @@ pub fn explore(
                             // Boot wall time (image plus recovery
                             // run), split out from replay.
                             let boot_started = obs.is_enabled().then(std::time::Instant::now);
+                            boots.fetch_add(1, Ordering::Relaxed);
                             let img = r.image_with(&c.lines);
                             let watchdog = if diverge {
                                 Some(opts.recovery_watchdog_ms.unwrap_or(250))
@@ -401,27 +442,24 @@ pub fn explore(
                             // Oracle-panic isolation: the pool
                             // classifies the panic as an
                             // OracleCrash verdict and keeps going.
-                            let v = catch_unwind(AssertUnwindSafe(|| {
+                            let (v, path) = catch_unwind(AssertUnwindSafe(|| {
                                 if oracle_panic {
                                     panic!("pmfault: injected oracle panic at candidate {idx}");
                                 }
-                                oracle.check_opts(
+                                oracle.check_reading(
                                     module,
                                     img,
                                     opts.max_recovery_steps,
                                     watchdog,
                                     fault,
-                                    opts.tier,
                                     Some(&decoded),
+                                    miss.is_some(),
                                 )
                             }))
                             .unwrap_or_else(|p| {
-                                Verdict::OracleCrash {
-                                    what: format!(
-                                        "recovery oracle panicked: {}",
-                                        panic_text(p.as_ref())
-                                    ),
-                                }
+                                let what =
+                                    format!("recovery oracle panicked: {}", panic_text(p.as_ref()));
+                                (Verdict::OracleCrash { what }, None)
                             });
                             if let Some(t) = boot_started {
                                 obs.observe(
@@ -430,16 +468,19 @@ pub fn explore(
                                 );
                             }
                             // Only stable verdicts of un-faulted
-                            // candidates are image-memoizable.
+                            // candidates are memoizable.
                             if !injected && !matches!(v, Verdict::OracleCrash { .. }) {
                                 memo.lock().expect("memo lock").insert(h, v.clone());
+                                if let (Some(miss), Some(path)) = (miss, path) {
+                                    paths.insert(miss, r.pool_set(), &path, version, v.clone());
+                                }
                             }
                             v
                         }
                     };
                     match verdict {
                         Verdict::Inconsistent(failure) => {
-                            let f = finding(trace, &fronts[c.frontier], c, h, failure);
+                            let f = finding(r, &fences, c, h, failure);
                             found.lock().expect("found lock").push((idx, f));
                         }
                         Verdict::OracleCrash { what } => {
@@ -453,10 +494,11 @@ pub fn explore(
                     }
                 }));
                 if caught.is_err() {
-                    // The replayer may have been mid-advance;
-                    // discard it so the next candidate replays from
-                    // a clean slate.
+                    // The replayer may have been mid-advance, and the
+                    // read-path memo mid-insert; discard both so the next
+                    // candidate starts from a clean slate.
                     replayer = None;
+                    paths = ReadPathMemo::default();
                     faulted.lock().expect("faulted lock").push((
                         idx,
                         format!(
@@ -496,7 +538,7 @@ pub fn explore(
     fault_log.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
     let worker_panics = fault_log.iter().filter(|(_, _, wp)| *wp).count();
     let stats = ExploreStats {
-        frontiers: fronts.len(),
+        frontiers: frontier_count,
         candidates: candidates.len(),
         distinct_states: memo.into_inner().expect("memo lock").len(),
         inconsistent: findings.len(),
@@ -516,10 +558,12 @@ pub fn explore(
         obs.add("explore.inconsistent", stats.inconsistent as u64);
         obs.add("explore.oracle_crashes", stats.oracle_crashes as u64);
         obs.add("explore.worker_panics", stats.worker_panics as u64);
+        obs.add("explore.recovery_boots", boots.into_inner() as u64);
+        obs.add("explore.read_path_hits", path_hits.into_inner() as u64);
     }
     drop(run_span);
     let mut diagnostics: Vec<String> = fault_log.into_iter().map(|(_, d, _)| d).collect();
-    let done = evaluated.load(std::sync::atomic::Ordering::Relaxed);
+    let done = evaluated.load(Ordering::Relaxed);
     if opts.cancel.is_exhausted() && done < stats.candidates {
         diagnostics.push(format!(
             "exploration cancelled by budget: {done} of {} candidate(s) evaluated; \
@@ -553,40 +597,28 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
 /// Builds the finding for an inconsistent candidate: what was lost and
 /// which stores to blame, classified the same way the dynamic checker
 /// classifies (pending line → missing fence; otherwise missing flush when
-/// a later fence exists, else missing flush&fence).
+/// a later fence exists, else missing flush&fence). `r` is positioned at
+/// the crash; `fences` holds the trace's fence sequence numbers, ascending.
 fn finding(
-    trace: &Trace,
-    frontier: &Frontier,
+    r: &Replayer<'_>,
+    fences: &[u64],
     c: &Candidate,
     image_hash: u64,
     failure: Failure,
 ) -> Finding {
-    let persisted: BTreeSet<u64> = c.lines.iter().copied().collect();
-    let pending: BTreeSet<u64> = frontier.pending.iter().copied().collect();
-    let lost: Vec<u64> = frontier
-        .dirty
-        .iter()
-        .copied()
-        .filter(|l| !persisted.contains(l))
+    let pending = r.pending_lines();
+    let lost: Vec<u64> = r
+        .dirty_lines()
+        .into_iter()
+        .filter(|l| c.lines.binary_search(l).is_err())
         .collect();
 
-    // line → last store event at or before the crash that wrote it.
+    // Blame each lost line on the last store at or before the crash that
+    // wrote it.
     let mut by_store: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for &line in &lost {
-        let mut blamed: Option<u64> = None;
-        for e in &trace.events {
-            if e.seq > c.after_seq {
-                break;
-            }
-            if let EventKind::Store { addr, len } = e.kind {
-                let lo = addr & !63;
-                if line >= lo && line < addr + len.max(1) {
-                    blamed = Some(e.seq);
-                }
-            }
-        }
-        if let Some(seq) = blamed {
-            by_store.entry(seq).or_default().push(line);
+        if let Some(e) = r.last_store(line) {
+            by_store.entry(e.seq).or_default().push(line);
         }
     }
 
@@ -596,17 +628,13 @@ fn finding(
             let unflushed: Vec<u64> = lines
                 .iter()
                 .copied()
-                .filter(|l| !pending.contains(l))
+                .filter(|l| pending.binary_search(l).is_err())
                 .collect();
             let kind = if unflushed.is_empty() {
                 BugKind::MissingFence
             } else {
-                let fence_after = trace.events.iter().any(|e| {
-                    e.seq > store_seq
-                        && e.seq <= c.after_seq
-                        && matches!(e.kind, EventKind::Fence { .. })
-                });
-                if fence_after {
+                let next_fence = fences.get(fences.partition_point(|&f| f <= store_seq));
+                if next_fence.is_some_and(|&f| f <= c.after_seq) {
                     BugKind::MissingFlush
                 } else {
                     BugKind::MissingFlushFence

@@ -23,7 +23,9 @@
 //! 4. [`oracle`] boots the app's `recover()` entry (or re-runs the main
 //!    entry) on each image via `pmvm` and judges consistency.
 //! 5. [`mod@explore`] drives it all over a work-stealing thread pool
-//!    ([`steal`]), dedups states by content hash, blames every
+//!    ([`steal`]), dedups states by content hash, skips the boot of any
+//!    state that agrees with an already booted one on every PM line that
+//!    boot read (the read-path memo), blames every
 //!    inconsistency back onto the stores whose lost lines caused it, and
 //!    exports a `pmcheck`-shaped report
 //!    ([`pmcheck::Provenance::Exploration`]) that the repair engine's
@@ -35,6 +37,7 @@
 pub mod explore;
 pub mod frontier;
 pub mod oracle;
+mod readpath;
 pub mod replay;
 pub mod sample;
 pub mod steal;

@@ -89,15 +89,45 @@ impl Oracle {
         _tier: ExecTier,
         decoded: Option<&pmvm::DecodedModule>,
     ) -> Verdict {
+        self.check_reading(module, image, max_steps, watchdog_ms, fault, decoded, false)
+            .0
+    }
+
+    /// [`Oracle::check_opts`] that, when `read_path` is set, also returns
+    /// the recovery run's read path: the PM lines it read, in first-read
+    /// order ([`pmem_sim::Machine::arm_read_log`]). The path is returned
+    /// only for a run that completed (returned or aborted): a run is a
+    /// deterministic function of its pools and the bytes of the lines on
+    /// its path, so every image that agrees with this one on both gets
+    /// the same verdict. A trapped run, whose machine is gone, returns
+    /// none.
+    #[allow(clippy::too_many_arguments)]
+    pub fn check_reading(
+        &self,
+        module: &Module,
+        image: CrashImage,
+        max_steps: u64,
+        watchdog_ms: Option<u64>,
+        fault: Option<pmfault::FaultPlan>,
+        decoded: Option<&pmvm::DecodedModule>,
+        read_path: bool,
+    ) -> (Verdict, Option<Vec<u64>>) {
         let opts = VmOptions {
             trace: false,
             max_steps,
             watchdog_ms,
             fault,
+            log_pm_reads: read_path,
             ..VmOptions::default()
         }
         .with_media(image.into_media());
-        match Vm::new(opts).run_prepared(module, &self.entry, decoded) {
+        let run = Vm::new(opts).run_prepared(module, &self.entry, decoded);
+        let path = run
+            .as_ref()
+            .ok()
+            .and_then(|res| res.machine.read_log())
+            .map(<[u64]>::to_vec);
+        let verdict = match run {
             Err(VmError::Watchdog { limit_ms }) => Verdict::OracleCrash {
                 what: format!("recovery watchdog fired after {limit_ms}ms (diverging oracle)"),
             },
@@ -110,10 +140,13 @@ impl Oracle {
             }),
             Ok(res) => {
                 if let Ended::Aborted(code) = res.ended {
-                    return Verdict::Inconsistent(Failure {
-                        what: format!("recovery aborted with code {code}"),
-                        return_value: res.return_value,
-                    });
+                    return (
+                        Verdict::Inconsistent(Failure {
+                            what: format!("recovery aborted with code {code}"),
+                            return_value: res.return_value,
+                        }),
+                        path,
+                    );
                 }
                 match self.expect {
                     Expectation::Completes => Verdict::Consistent,
@@ -132,7 +165,8 @@ impl Oracle {
                     }
                 }
             }
-        }
+        };
+        (verdict, path)
     }
 }
 
@@ -219,6 +253,36 @@ mod tests {
         let o2 = Oracle::default_for(&m2, "main");
         assert_eq!(o2.entry, "main");
         assert_eq!(o2.expect, Expectation::Completes);
+    }
+
+    #[test]
+    fn check_reading_returns_the_lines_a_completed_boot_read() {
+        let m = pmlang::compile_one("t.pmc", SRC).unwrap();
+        let o = Oracle::returns_zero("recover");
+        let read =
+            |image, read_path| o.check_reading(&m, image, 1_000_000, None, None, None, read_path);
+        let line = pmem_sim::layout::PM_BASE;
+        assert_eq!(
+            read(image_with_flag(0), true),
+            (Verdict::Consistent, Some(vec![line]))
+        );
+        let (v, path) = read(image_with_flag(1), true);
+        assert!(v.is_inconsistent());
+        assert_eq!(
+            path,
+            Some(vec![line]),
+            "an inconsistent verdict has a path too"
+        );
+        assert_eq!(read(image_with_flag(1), false).1, None, "not asked");
+        // A trapped run has no path: its machine is gone.
+        let trap = pmlang::compile_one(
+            "t.pmc",
+            "fn recover() -> int { var p: ptr = pmem_map(7, 4096); return load8(p, 4096); }",
+        )
+        .unwrap();
+        let (v, path) = o.check_reading(&trap, image_with_flag(0), 1000, None, None, None, true);
+        assert!(v.is_inconsistent());
+        assert_eq!(path, None);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use pmem_sim::{layout::line_of, CrashImage, LineSet, Pages, PmMedia, CACHE_LINE};
 use pmtrace::{DataLog, Event, EventKind, Trace};
-use std::collections::BTreeMap;
 
 /// `splitmix64` finalizer: a cheap full-avalanche bijection.
 #[inline]
@@ -69,12 +68,59 @@ fn line_term_at(hint: u64, bytes: &Pages, off: usize) -> u64 {
     line_term(hint, off as u64, &buf[..len])
 }
 
+/// The version of the bytes the event at `index` leaves in the lines it
+/// stores to: one plus the index (0 is the content a pool was registered
+/// with).
+fn version_at(index: usize) -> u32 {
+    u32::try_from(index + 1).expect("a trace has fewer than 2^32 - 1 events")
+}
+
+/// Lines per page of [`Versions`]: a 4 KiB page of PM.
+const VERSION_PAGE: usize = 64;
+
+/// The versions of one pool's lines, `[cache, durable]` per line.
+///
+/// A line's cache version is [`version_at`] of the last store event that
+/// wrote it, or 0. The cache bytes of a line are a function of the stores
+/// to it so far, so two positions with equal versions hold equal bytes.
+/// Its durable version is its cache version at its last write-back.
+///
+/// A dense array per pool, allocated a page of lines at a time on the
+/// first store into the page: programs store to few of their pools' pages.
+#[derive(Debug, Clone)]
+struct Versions {
+    pages: Vec<Option<Box<[[u32; 2]; VERSION_PAGE]>>>,
+}
+
+impl Versions {
+    fn new(lines: usize) -> Self {
+        Versions {
+            pages: vec![None; lines.div_ceil(VERSION_PAGE)],
+        }
+    }
+
+    /// `[cache, durable]` versions of line `k`.
+    fn get(&self, k: usize) -> [u32; 2] {
+        self.pages[k / VERSION_PAGE]
+            .as_ref()
+            .map_or([0; 2], |p| p[k % VERSION_PAGE])
+    }
+
+    fn get_mut(&mut self, k: usize) -> &mut [u32; 2] {
+        let page =
+            self.pages[k / VERSION_PAGE].get_or_insert_with(|| Box::new([[0; 2]; VERSION_PAGE]));
+        &mut page[k % VERSION_PAGE]
+    }
+}
+
 /// One pool's replayed state.
 #[derive(Debug, Clone)]
 struct PoolState {
+    hint: u64,
     base: u64,
     durable: Pages,
     cache: Pages,
+    versions: Versions,
 }
 
 /// Forward-only PM state reconstruction over a trace.
@@ -84,9 +130,8 @@ pub struct Replayer<'t> {
     data: &'t DataLog,
     /// Index of the next event to apply.
     pos: usize,
-    pools: BTreeMap<u64, PoolState>,
-    /// Pool bases for address→pool lookup (base → hint).
-    bases: BTreeMap<u64, u64>,
+    /// The pools registered so far, by ascending base.
+    pools: Vec<PoolState>,
     dirty: LineSet,
     pending: LineSet,
     /// Rolling commutative hash of the *durable* image: the XOR of one
@@ -105,8 +150,7 @@ impl<'t> Replayer<'t> {
             events: &trace.events,
             data,
             pos: 0,
-            pools: BTreeMap::new(),
-            bases: BTreeMap::new(),
+            pools: vec![],
             dirty: LineSet::new(),
             pending: LineSet::new(),
             acc: 0,
@@ -124,39 +168,46 @@ impl<'t> Replayer<'t> {
         for off in (0..durable.len()).step_by(CACHE_LINE as usize) {
             self.acc ^= line_term_at(hint, &durable, off);
         }
-        let cache = durable.clone();
-        self.bases.insert(base, hint);
+        let lines = durable.len().div_ceil(CACHE_LINE as usize);
+        let at = self.pools.partition_point(|p| p.base < base);
         self.pools.insert(
-            hint,
+            at,
             PoolState {
+                hint,
                 base,
+                cache: durable.clone(),
                 durable,
-                cache,
+                versions: Versions::new(lines),
             },
         );
     }
 
-    /// The `(hint, byte offset)` of the line starting at `line`, if mapped.
-    fn locate(&self, line: u64) -> Option<(u64, usize)> {
-        let (&base, &hint) = self.bases.range(..=line).next_back()?;
-        let p = &self.pools[&hint];
-        if line < base + p.cache.len() as u64 {
-            Some((hint, (line - base) as usize))
-        } else {
-            None
-        }
+    /// The index in `pools` and the byte offset of the line starting at
+    /// `line`, if mapped.
+    fn locate(&self, line: u64) -> Option<(usize, usize)> {
+        let i = self
+            .pools
+            .partition_point(|p| p.base <= line)
+            .checked_sub(1)?;
+        let p = &self.pools[i];
+        (line < p.base + p.cache.len() as u64).then(|| (i, (line - p.base) as usize))
     }
 
     /// Copies a line's cache bytes to the durable bytes and clears its
     /// dirty bit — exactly [`pmem_sim::Machine`]'s `write_back_line`
     /// (which, like the hardware, does *not* touch the pending set).
     fn write_back_line(&mut self, line: u64) {
-        if let Some((hint, off)) = self.locate(line) {
-            let p = self.pools.get_mut(&hint).expect("located");
+        if let Some((i, off)) = self.locate(line) {
+            let p = &mut self.pools[i];
             let len = (CACHE_LINE as usize).min(p.cache.len() - off);
-            self.acc ^= line_term_at(hint, &p.durable, off);
+            self.acc ^= line_term_at(p.hint, &p.durable, off);
             p.durable.copy_from(&p.cache, off, len);
-            self.acc ^= line_term_at(hint, &p.durable, off);
+            self.acc ^= line_term_at(p.hint, &p.durable, off);
+            let k = off / CACHE_LINE as usize;
+            let [cache, durable] = p.versions.get(k);
+            if cache != durable {
+                p.versions.get_mut(k)[1] = cache;
+            }
         }
         self.dirty.remove(line);
     }
@@ -166,14 +217,19 @@ impl<'t> Replayer<'t> {
         let e = &events[i];
         match &e.kind {
             EventKind::RegisterPool { hint, base, size } => {
-                if !self.pools.contains_key(hint) {
+                if !self.pools.iter().any(|p| p.hint == *hint) {
                     // Pool sizes are line-aligned by the machine; mirror it.
                     let size = (*size).max(1).div_ceil(CACHE_LINE) * CACHE_LINE;
                     self.insert_pool(*hint, *base, Pages::zeroed(size as usize));
                 }
             }
             EventKind::Store { addr, len } => {
+                let ver = version_at(i);
+                self.stamp(*addr, *len, ver);
                 if let Some(rec) = data.for_seq(e.seq) {
+                    if rec.addr != *addr || rec.bytes.len() as u64 > *len {
+                        self.stamp(rec.addr, rec.bytes.len() as u64, ver);
+                    }
                     self.write_cache(rec.addr, &rec.bytes);
                 } else {
                     // No captured bytes (data log disabled or partial):
@@ -205,10 +261,22 @@ impl<'t> Replayer<'t> {
         self.dirty.insert_range(addr, len.max(1));
     }
 
+    /// Sets the cache version of every mapped line `[addr, addr + len)`
+    /// touches (at least the line of `addr`) to `ver`.
+    fn stamp(&mut self, addr: u64, len: u64, ver: u32) {
+        let mut line = line_of(addr);
+        while line < addr.saturating_add(len.max(1)) {
+            if let Some((i, off)) = self.locate(line) {
+                self.pools[i].versions.get_mut(off / CACHE_LINE as usize)[0] = ver;
+            }
+            line += CACHE_LINE;
+        }
+    }
+
     fn write_cache(&mut self, addr: u64, bytes: &[u8]) {
-        if let Some((hint, off)) = self.locate(line_of(addr)) {
+        if let Some((i, off)) = self.locate(line_of(addr)) {
             let line_delta = (addr - line_of(addr)) as usize;
-            let p = self.pools.get_mut(&hint).expect("located");
+            let p = &mut self.pools[i];
             let off = off + line_delta;
             let end = (off + bytes.len()).min(p.cache.len());
             p.cache.write(off, &bytes[..end - off]);
@@ -247,6 +315,42 @@ impl<'t> Replayer<'t> {
         self.pending.generation()
     }
 
+    /// The pools registered at the current position as `(hint, base, byte
+    /// length)`, by ascending base: the pool set of every crash image here.
+    pub fn pool_set(&self) -> impl Iterator<Item = (u64, u64, u64)> + Clone + '_ {
+        self.pools
+            .iter()
+            .map(|p| (p.hint, p.base, p.cache.len() as u64))
+    }
+
+    /// The version of line `line` in the image [`Replayer::image_with`]
+    /// would build for `persisted` (ascending): the cache version if the
+    /// line is dirty and persisted, else the durable version; 0 for a line
+    /// in no pool. At one position and pool set, equal versions mean equal
+    /// line bytes, so versions key crash images by the lines a recovery
+    /// read. (Unequal versions may still hold equal bytes: a key can miss
+    /// a match, never invent one.)
+    pub fn line_version(&self, line: u64, persisted: &[u64]) -> u32 {
+        let Some((i, off)) = self.locate(line) else {
+            return 0;
+        };
+        let [cache, durable] = self.pools[i].versions.get(off / CACHE_LINE as usize);
+        if persisted.binary_search(&line).is_ok() && self.dirty.contains(line) {
+            cache
+        } else {
+            durable
+        }
+    }
+
+    /// The last store event at or before the current position that wrote
+    /// the mapped line `line`, if any.
+    pub fn last_store(&self, line: u64) -> Option<&'t Event> {
+        let (i, off) = self.locate(line)?;
+        let [ver, _] = self.pools[i].versions.get(off / CACHE_LINE as usize);
+        let events: &'t [Event] = self.events;
+        ver.checked_sub(1).map(|v| &events[v as usize])
+    }
+
     /// The content hash of the crash image [`Replayer::image_with`] would
     /// build for `persisted` — computed in O(|persisted|) line terms from
     /// the rolling durable hash, **without materializing the image**. Equal
@@ -263,12 +367,12 @@ impl<'t> Replayer<'t> {
                 continue;
             }
             prev = Some(line);
-            if let Some((hint, off)) = self.locate(line) {
-                let p = &self.pools[&hint];
+            if let Some((i, off)) = self.locate(line) {
+                let p = &self.pools[i];
                 // Persisting the line replaces its durable bytes with the
                 // cache bytes: swap the line's term in the XOR accumulator.
-                h ^= line_term_at(hint, &p.durable, off);
-                h ^= line_term_at(hint, &p.cache, off);
+                h ^= line_term_at(p.hint, &p.durable, off);
+                h ^= line_term_at(p.hint, &p.cache, off);
             }
         }
         h
@@ -278,26 +382,23 @@ impl<'t> Replayer<'t> {
     /// the dirty lines in `persisted` raced to the medium first". Non-dirty
     /// entries are ignored.
     pub fn image_with(&self, persisted: &[u64]) -> CrashImage {
-        let mut parts: BTreeMap<u64, (u64, Pages)> = self
-            .pools
-            .iter()
-            .map(|(&hint, p)| (hint, (p.base, p.durable.clone())))
-            .collect();
+        let mut parts: Vec<Pages> = self.pools.iter().map(|p| p.durable.clone()).collect();
         for &line in persisted {
             if !self.dirty.contains(line) {
                 continue;
             }
-            if let Some((hint, off)) = self.locate(line) {
-                let p = &self.pools[&hint];
+            if let Some((i, off)) = self.locate(line) {
+                let p = &self.pools[i];
                 let len = (CACHE_LINE as usize).min(p.cache.len() - off);
-                parts
-                    .get_mut(&hint)
-                    .expect("located")
-                    .1
-                    .copy_from(&p.cache, off, len);
+                parts[i].copy_from(&p.cache, off, len);
             }
         }
-        CrashImage::from_parts(parts.into_iter().map(|(h, (b, bytes))| (h, b, bytes)))
+        CrashImage::from_parts(
+            self.pools
+                .iter()
+                .zip(parts)
+                .map(|(p, bytes)| (p.hint, p.base, bytes)),
+        )
     }
 }
 

@@ -55,7 +55,15 @@ pub struct Candidate {
 /// to `budget` states. Deterministic in its arguments.
 pub fn sample(frontiers: &[Frontier], budget: usize, seed: u64) -> Vec<Candidate> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut all: Vec<Candidate> = Vec::new();
+    // Sized up front from the per-frontier counts (random extras at most):
+    // growing by doubling would hold the old and the new buffer at once.
+    let most = |n: usize| match n {
+        0 => 1,
+        1..=EXHAUSTIVE_LINES => 1 << n,
+        _ => 2 + 2 * n + RANDOM_EXTRAS,
+    };
+    let mut all: Vec<Candidate> =
+        Vec::with_capacity(frontiers.iter().map(|f| most(f.dirty.len())).sum());
     for (fi, f) in frontiers.iter().enumerate() {
         let n = f.dirty.len();
         let mk = |lines: Vec<u64>, priority: Priority| Candidate {
@@ -119,14 +127,14 @@ pub fn sample(frontiers: &[Frontier], budget: usize, seed: u64) -> Vec<Candidate
     }
     // Stable sort: priority class first, then original (frontier, subset)
     // generation order — so truncation keeps the best classes and stays
-    // deterministic.
-    let mut indexed: Vec<(usize, Candidate)> = all.into_iter().enumerate().collect();
-    indexed.sort_by(|(ia, a), (ib, b)| a.priority.cmp(&b.priority).then(ia.cmp(ib)));
-    indexed.truncate(budget);
-    let mut out: Vec<Candidate> = indexed.into_iter().map(|(_, c)| c).collect();
+    // deterministic. Sorted in place, and the dropped tail's memory given
+    // back: the untruncated list is the largest allocation of a call.
+    all.sort_by_key(|c| c.priority);
+    all.truncate(budget);
+    all.shrink_to_fit();
     // Workers replay forward; hand them the kept candidates in trace order.
-    out.sort_by(|a, b| a.after_seq.cmp(&b.after_seq).then(a.lines.cmp(&b.lines)));
-    out
+    all.sort_by(|a, b| a.after_seq.cmp(&b.after_seq).then(a.lines.cmp(&b.lines)));
+    all
 }
 
 #[cfg(test)]

@@ -44,6 +44,13 @@ pub struct VmOptions {
     /// event's sequence number. Requires `trace`; used by crash-state
     /// exploration to replay durable contents without re-running the VM.
     pub capture_pm_data: bool,
+    /// Log the PM lines the run reads, in first-read order
+    /// ([`pmem_sim::Machine::arm_read_log`]; read them from
+    /// [`crate::RunResult::machine`]). An analysis flag like
+    /// `capture_pm_data`, but it needs no trace: crash-state exploration
+    /// sets it on untraced recovery boots to learn which lines decided the
+    /// verdict. Observation only: it changes no result, counter or cycle.
+    pub log_pm_reads: bool,
     /// If set, spontaneously evict the stored-to line after every k-th PM
     /// store — models cache pressure (used by do-no-harm property tests).
     pub evict_period: Option<u64>,
@@ -76,6 +83,7 @@ impl Default for VmOptions {
             stop_at_crash_point: None,
             stop_at_event: None,
             capture_pm_data: false,
+            log_pm_reads: false,
             evict_period: None,
             watchdog_ms: None,
             fault: None,
@@ -118,6 +126,12 @@ impl VmOptions {
         self
     }
 
+    /// Enables the PM read log (builder-style).
+    pub fn log_pm_reads(mut self) -> Self {
+        self.log_pm_reads = true;
+        self
+    }
+
     /// Arms the wall-clock watchdog (builder-style).
     pub fn watchdog(mut self, ms: u64) -> Self {
         self.watchdog_ms = Some(ms);
@@ -152,5 +166,7 @@ mod tests {
         let o = VmOptions::default().stop_at_event(7).capture_pm_data();
         assert_eq!(o.stop_at_event, Some(7));
         assert!(o.capture_pm_data);
+        assert!(!o.log_pm_reads);
+        assert!(VmOptions::bench().log_pm_reads().log_pm_reads);
     }
 }

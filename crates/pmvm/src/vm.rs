@@ -107,6 +107,9 @@ impl Vm {
             Some(media) => Machine::with_media(media, self.opts.cost),
             None => Machine::new(self.opts.cost),
         };
+        if self.opts.log_pm_reads {
+            machine.arm_read_log();
+        }
         // Arm fault injection: the machine gets its own injector clone for
         // the sim-level sites (store/flush/media-read); the engine keeps one
         // for the VM-level sites. Counters are per-site, so the split never

@@ -16,8 +16,8 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> differential engine gate (the VM and the reference interpreter agree on every run)"
-cargo test -q --release -p system-tests --test tier_differential
+echo "==> differential engine gate (the VM and the reference interpreter agree on every run; exploration's memos agree with booting every distinct crash image)"
+cargo test -q --release -p system-tests --test tier_differential --test explore_read_path_memo
 # The engine's and the machine's own tests in release too: the benchmark
 # runs release builds, where integer overflow wraps instead of panicking.
 cargo test -q --release -p pmvm -p pmem-sim

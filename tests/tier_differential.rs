@@ -13,7 +13,9 @@
 //!    from that run (budget 96, seed 0), which the recovery oracle judges.
 //!
 //! Repair cases check the fixed module the same way. The corpus is the real
-//! app corpus plus a randomized publish-pattern family.
+//! app corpus plus a randomized publish-pattern family. Every comparison
+//! also runs the engine with the PM read log armed, which must change no
+//! field, and compares its log with the reference's.
 
 use hippocrates::{BugSource, Hippocrates, RepairOptions};
 use pmexplore::{frontiers, sample, ExploreOptions, Oracle, Replayer};
@@ -22,16 +24,36 @@ use proptest::prelude::*;
 
 /// Runs `entry` under `opts` on the reference and on the engine and
 /// asserts the two agree on every [`RunResult`] field, or on the error.
+///
+/// The engine runs twice, once with the PM read log armed: observation
+/// must not change what it observes, so the two engine runs agree on every
+/// field too. The reference runs with the log armed, and its log must
+/// equal the armed engine's: both read the same PM lines in the same order.
 fn run_both(tag: &str, m: &pmir::Module, entry: &str, opts: VmOptions) -> Option<RunResult> {
-    let reference = Vm::new(opts.clone()).run_reference(m, entry);
-    let engine = Vm::new(opts).run(m, entry);
-    let (a, b) = match (reference, engine) {
-        (Ok(a), Ok(b)) => (a, b),
-        (a, b) => {
-            assert_eq!(a.err(), b.err(), "{tag}: errors diverge");
+    let reference = Vm::new(opts.clone().log_pm_reads()).run_reference(m, entry);
+    let engine = Vm::new(opts.clone()).run(m, entry);
+    let logged = Vm::new(opts.log_pm_reads()).run(m, entry);
+    let (a, b, c) = match (reference, engine, logged) {
+        (Ok(a), Ok(b), Ok(c)) => (a, b, c),
+        (a, b, c) => {
+            assert_eq!(a.as_ref().err(), b.as_ref().err(), "{tag}: errors diverge");
+            assert_eq!(b.err(), c.err(), "{tag}: the read log changes the error");
             return None;
         }
     };
+    assert_same(tag, &a, &b);
+    assert_same(&format!("{tag} (read log armed)"), &b, &c);
+    assert_eq!(b.machine.read_log(), None, "{tag}: a read log nobody armed");
+    assert_eq!(
+        a.machine.read_log(),
+        c.machine.read_log(),
+        "{tag}: read logs diverge"
+    );
+    Some(b)
+}
+
+/// Asserts `a` and `b` agree on every [`RunResult`] field.
+fn assert_same(tag: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.output, b.output, "{tag}: output diverges");
     assert_eq!(
         a.return_value, b.return_value,
@@ -46,8 +68,7 @@ fn run_both(tag: &str, m: &pmir::Module, entry: &str, opts: VmOptions) -> Option
         let m = &r.machine;
         (m.crash_image(), m.dirty_pm_lines(), m.pending_pm_lines())
     };
-    assert_eq!(machine(&a), machine(&b), "{tag}: machine states diverge");
-    Some(b)
+    assert_eq!(machine(a), machine(b), "{tag}: machine states diverge");
 }
 
 /// Compares the engines on the traced run of `entry` and on a recovery
