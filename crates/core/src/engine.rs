@@ -769,6 +769,28 @@ impl Hippocrates {
                                     // particular) is not monotone: a bug a later pass resurfaces is only
                                     // *harm* if no earlier pass ever saw that site at that severity.
         let mut seen_sev: HashMap<String, u32> = HashMap::new();
+        // Every exit builds its outcome here: the injector's faults are
+        // drained into the diagnostics first, and `$optimized` is evaluated
+        // after that, so the optimizer's notes follow them.
+        macro_rules! outcome {
+            ($clean:expr, $final_report:expr, $optimized:expr) => {{
+                drain_injected(&injector, &mut diagnostics);
+                let optimized = $optimized;
+                RepairOutcome {
+                    clean: $clean,
+                    fixes,
+                    iterations: replayed_rounds + attempts,
+                    final_report: $final_report,
+                    clones_created: clones,
+                    degraded,
+                    diagnostics,
+                    quarantined,
+                    committed_rounds,
+                    replayed_rounds,
+                    optimized,
+                }
+            }};
+        }
 
         // Write-ahead journal: resume replays committed rounds idempotently;
         // otherwise an existing file is truncated and started fresh.
@@ -836,22 +858,9 @@ impl Hippocrates {
 
         // Initial detection (one budget step).
         if let Err(exceeded) = budget.charge(1) {
-            drain_injected(&injector, &mut diagnostics);
             return Err(RepairError::BudgetExceeded {
                 exceeded,
-                partial: Box::new(RepairOutcome {
-                    clean: false,
-                    fixes,
-                    iterations: replayed_rounds,
-                    final_report: CheckReport::default(),
-                    clones_created: clones,
-                    degraded,
-                    diagnostics,
-                    quarantined,
-                    committed_rounds,
-                    replayed_rounds,
-                    optimized: None,
-                }),
+                partial: Box::new(outcome!(false, CheckReport::default(), None)),
             });
         }
         obs.add("repair.iterations", 1);
@@ -867,89 +876,32 @@ impl Hippocrates {
         let (mut report, mut trace) = match first {
             Ok(v) => v,
             Err(e) => {
-                return Err(match budget.check() {
-                    Err(exceeded) => {
-                        note(
-                            &mut diagnostics,
-                            format!("detection aborted by budget: {e}"),
-                        );
-                        drain_injected(&injector, &mut diagnostics);
-                        RepairError::BudgetExceeded {
-                            exceeded,
-                            partial: Box::new(RepairOutcome {
-                                clean: false,
-                                fixes,
-                                iterations: replayed_rounds,
-                                final_report: CheckReport::default(),
-                                clones_created: clones,
-                                degraded,
-                                diagnostics,
-                                quarantined,
-                                committed_rounds,
-                                replayed_rounds,
-                                optimized: None,
-                            }),
-                        }
-                    }
-                    Ok(()) => e,
-                })
+                let exceeded = aborted_by_budget(&budget, e, "detection", &mut diagnostics)?;
+                return Err(RepairError::BudgetExceeded {
+                    exceeded,
+                    partial: Box::new(outcome!(false, CheckReport::default(), None)),
+                });
             }
         };
 
         loop {
             if report.is_clean() {
-                drain_injected(&injector, &mut diagnostics);
-                let optimized = self.optimize_after_clean(m, entry, &mut diagnostics);
-                return Ok(RepairOutcome {
-                    clean: true,
-                    fixes,
-                    iterations: replayed_rounds + attempts,
-                    final_report: report,
-                    clones_created: clones,
-                    degraded,
-                    diagnostics,
-                    quarantined,
-                    committed_rounds,
-                    replayed_rounds,
-                    optimized,
-                });
+                return Ok(outcome!(
+                    true,
+                    report,
+                    self.optimize_after_clean(m, entry, &mut diagnostics)
+                ));
             }
             if let Err(exceeded) = budget.check() {
-                drain_injected(&injector, &mut diagnostics);
                 return Err(RepairError::BudgetExceeded {
                     exceeded,
-                    partial: Box::new(RepairOutcome {
-                        clean: false,
-                        fixes,
-                        iterations: replayed_rounds + attempts,
-                        final_report: report,
-                        clones_created: clones,
-                        degraded,
-                        diagnostics,
-                        quarantined,
-                        committed_rounds,
-                        replayed_rounds,
-                        optimized: None,
-                    }),
+                    partial: Box::new(outcome!(false, report, None)),
                 });
             }
             if attempts >= self.opts.max_iterations {
-                drain_injected(&injector, &mut diagnostics);
                 return Err(RepairError::IterationBudget {
                     max: self.opts.max_iterations,
-                    partial: Box::new(RepairOutcome {
-                        clean: false,
-                        fixes,
-                        iterations: replayed_rounds + attempts,
-                        final_report: report,
-                        clones_created: clones,
-                        degraded,
-                        diagnostics,
-                        quarantined,
-                        committed_rounds,
-                        replayed_rounds,
-                        optimized: None,
-                    }),
+                    partial: Box::new(outcome!(false, report, None)),
                 });
             }
             attempts += 1;
@@ -976,22 +928,9 @@ impl Hippocrates {
                 );
             }
             if app.summary.fixes.is_empty() {
-                drain_injected(&injector, &mut diagnostics);
                 return Err(RepairError::NoProgress {
                     remaining: report.deduped_bugs().len(),
-                    partial: Box::new(RepairOutcome {
-                        clean: false,
-                        fixes,
-                        iterations: replayed_rounds + attempts,
-                        final_report: report,
-                        clones_created: clones,
-                        degraded,
-                        diagnostics,
-                        quarantined,
-                        committed_rounds,
-                        replayed_rounds,
-                        optimized: None,
-                    }),
+                    partial: Box::new(outcome!(false, report, None)),
                 });
             }
 
@@ -1020,31 +959,11 @@ impl Hippocrates {
                 Err(e) => {
                     snapshot.restore(m);
                     obs.add("tx.rolled_back", 1);
-                    return Err(match budget.check() {
-                        Err(exceeded) => {
-                            note(
-                                &mut diagnostics,
-                                format!("re-verification aborted by budget: {e}"),
-                            );
-                            drain_injected(&injector, &mut diagnostics);
-                            RepairError::BudgetExceeded {
-                                exceeded,
-                                partial: Box::new(RepairOutcome {
-                                    clean: false,
-                                    fixes,
-                                    iterations: replayed_rounds + attempts,
-                                    final_report: report,
-                                    clones_created: clones,
-                                    degraded,
-                                    diagnostics,
-                                    quarantined,
-                                    committed_rounds,
-                                    replayed_rounds,
-                                    optimized: None,
-                                }),
-                            }
-                        }
-                        Ok(()) => e,
+                    let exceeded =
+                        aborted_by_budget(&budget, e, "re-verification", &mut diagnostics)?;
+                    return Err(RepairError::BudgetExceeded {
+                        exceeded,
+                        partial: Box::new(outcome!(false, report, None)),
                     });
                 }
             };
@@ -1206,6 +1125,22 @@ impl Hippocrates {
             }
         }
     }
+}
+
+/// Tells a detection pass that failed because the budget tripped from one
+/// that failed on its own: the first is noted as aborted by budget and
+/// yields what was exceeded, the second passes `e` on unchanged.
+fn aborted_by_budget(
+    budget: &pmtx::Budget,
+    e: RepairError,
+    stage: &str,
+    diagnostics: &mut Vec<String>,
+) -> Result<pmtx::BudgetExceeded, RepairError> {
+    let Err(exceeded) = budget.check() else {
+        return Err(e);
+    };
+    note(diagnostics, format!("{stage} aborted by budget: {e}"));
+    Ok(exceeded)
 }
 
 /// Surfaces every fault the engine-level injector recorded into the

@@ -22,10 +22,10 @@
 //!    captured [`pmtrace::DataLog`] — no interpreter re-runs.
 //! 4. [`oracle`] boots the app's `recover()` entry (or re-runs the main
 //!    entry) on each image via `pmvm` and judges consistency.
-//! 5. [`mod@explore`] drives it all over a work-stealing thread pool
-//!    ([`steal`]), dedups states by content hash, skips the boot of any
-//!    state that agrees with an already booted one on every PM line that
-//!    boot read (the read-path memo), blames every
+//! 5. [`mod@explore`] drives it all over a thread pool whose workers claim
+//!    chunks of candidates from one shared cursor, dedups states by content
+//!    hash, skips the boot of any state that agrees with an already booted
+//!    one on every PM line that boot read (the read-path memo), blames every
 //!    inconsistency back onto the stores whose lost lines caused it, and
 //!    exports a `pmcheck`-shaped report
 //!    ([`pmcheck::Provenance::Exploration`]) that the repair engine's
@@ -40,7 +40,6 @@ pub mod oracle;
 mod readpath;
 pub mod replay;
 pub mod sample;
-pub mod steal;
 
 pub use explore::{
     explore, run_and_explore, Exploration, ExploreOptions, ExploreReport, ExploreStats, Finding,
@@ -50,4 +49,3 @@ pub use frontier::{frontiers, Frontier};
 pub use oracle::{Expectation, Failure, Oracle, Verdict};
 pub use replay::Replayer;
 pub use sample::{sample, Candidate, Priority};
-pub use steal::StealQueue;

@@ -11,7 +11,8 @@ use crate::plan::{FaultKind, FaultPlan, FaultSite, N_SITES};
 /// deterministic regardless of how consumers fork state.
 ///
 /// For sites where the dynamic occurrence order is nondeterministic (the
-/// work-stealing explore pool), use [`Injector::fires_at`] keyed by a stable
+/// explore pool, whose workers claim candidate chunks in whatever order
+/// they reach the shared cursor), use [`Injector::fires_at`] keyed by a stable
 /// index (the candidate index) instead of the stateful [`Injector::fire`].
 #[derive(Debug, Clone)]
 pub struct Injector {

@@ -18,9 +18,11 @@ cargo test -q --workspace
 
 echo "==> differential engine gate (the VM and the reference interpreter agree on every run; exploration's memos agree with booting every distinct crash image)"
 cargo test -q --release -p system-tests --test tier_differential --test explore_read_path_memo
-# The engine's and the machine's own tests in release too: the benchmark
-# runs release builds, where integer overflow wraps instead of panicking.
-cargo test -q --release -p pmvm -p pmem-sim
+# The engine's, the machine's and the explorer's own tests in release too:
+# the benchmark runs release builds, where integer overflow wraps instead
+# of panicking, and the explore pool's jobs and cancellation tests race
+# real threads at release speed.
+cargo test -q --release -p pmvm -p pmem-sim -p pmexplore
 
 echo "==> checker gate (golden report fingerprints; the indexed checker matches a naive reference, streaming matches batch; trace bytes match the fixture)"
 cargo test -q --release -p system-tests --test checker_golden --test crosscrate_trace_roundtrip
